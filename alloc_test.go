@@ -16,6 +16,8 @@ import (
 	"lakego/internal/cuda"
 	"lakego/internal/gpu"
 	"lakego/internal/healthplane"
+	"lakego/internal/mllb"
+	"lakego/internal/nn"
 	"lakego/internal/remoting"
 )
 
@@ -214,5 +216,36 @@ func TestAllocsRingBatchedFlushWire(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, flush); n != 0 {
 		t.Fatalf("ring batched flush wire path allocates %v objects/op, want 0", n)
+	}
+}
+
+// TestAllocsMLLBClassifyLAKE gates the unbatched MLLB inference end to end:
+// input staging, the three remoted calls, the device kernel's decode,
+// forward pass and encode, and the host-side output decode all run on
+// reused scratch, so one classification allocates only the decision slice
+// it hands back to the caller.
+func TestAllocsMLLBClassifyLAKE(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rt := newRingRuntime(t)
+	bal, err := mllb.New(rt, nn.New(1, mllb.Sizes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := [][]float32{make([]float32, mllb.InputWidth)}
+	for i := range batch[0] {
+		batch[0][i] = float32(i) / 4
+	}
+	classify := func() {
+		if _, _, err := bal.ClassifyLAKE(batch, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1400; i++ { // 3 calls each: one full journal lap, see above
+		classify()
+	}
+	if n := testing.AllocsPerRun(1000, classify); n > 1 {
+		t.Fatalf("MLLB ClassifyLAKE allocates %v objects/op, want <= 1", n)
 	}
 }

@@ -159,6 +159,8 @@ type Runtime struct {
 
 	modelsMu sync.Mutex
 	models   map[string]*lifecycle.Manager
+
+	closeOnce sync.Once
 }
 
 // New boots a runtime: creates the device, maps the shared region into both
@@ -628,5 +630,14 @@ func (r *Runtime) Stats() Stats {
 	}
 }
 
-// Close shuts the runtime down.
-func (r *Runtime) Close() { r.transport.Close() }
+// Close shuts the runtime down: it closes the boundary channel, stops
+// lakeD, and then releases the lakeShm region. It is idempotent. Callers
+// must have finished every call on the runtime first: buffers staged in the
+// region are unusable afterwards.
+func (r *Runtime) Close() {
+	r.closeOnce.Do(func() {
+		r.transport.Close()
+		r.daemon.Stop()
+		r.region.Close()
+	})
+}

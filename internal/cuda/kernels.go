@@ -21,12 +21,21 @@ func PutFloat32s(dst []byte, vals []float32) error {
 	return nil
 }
 
-// Float32s decodes n little-endian float32 values from src.
-func Float32s(src []byte, n int) ([]float32, error) {
+// Float32s decodes n little-endian float32 values from src into a new
+// slice.
+func Float32s(src []byte, n int) ([]float32, error) { return Float32sInto(nil, src, n) }
+
+// Float32sInto decodes n little-endian float32 values from src into dst,
+// reusing its capacity when it suffices (a nil dst always allocates), and
+// returns the filled dst[:n].
+func Float32sInto(dst []float32, src []byte, n int) ([]float32, error) {
 	if len(src) < 4*n {
 		return nil, fmt.Errorf("cuda: buffer %d bytes, need %d", len(src), 4*n)
 	}
-	out := make([]float32, n)
+	if dst == nil || cap(dst) < n {
+		dst = make([]float32, n)
+	}
+	out := dst[:n]
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}

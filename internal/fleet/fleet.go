@@ -369,7 +369,8 @@ func (f *Fleet) Stats() Stats {
 	return st
 }
 
-// Close shuts every shard down.
+// Close shuts every shard down, releasing each lakeShm region still
+// mapped. It is idempotent.
 func (f *Fleet) Close() {
 	for _, s := range f.shards {
 		s.rt.Close()

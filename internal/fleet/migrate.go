@@ -23,8 +23,9 @@ type Migration struct {
 
 // Drain gracefully retires shard ord: placement stops, in-flight work
 // quiesces, the exactly-once journal crosses to a successor as a sealed
-// handoff frame, and the shard's tenants are re-routed. A drained run is
-// bit-identical to an undrained one — zero calls lost, zero re-executed.
+// handoff frame, the shard's tenants are re-routed, and its runtime is
+// closed, releasing its lakeShm region. A drained run is bit-identical to
+// an undrained one — zero calls lost, zero re-executed.
 func (f *Fleet) Drain(ord int) (*Migration, error) {
 	s, err := f.beginMigration(ord, Draining)
 	if err != nil {
@@ -36,7 +37,19 @@ func (f *Fleet) Drain(ord int) (*Migration, error) {
 	for s.outstanding.Load() > 0 {
 		runtime.Gosched()
 	}
-	return f.migrate(s)
+	m, err := f.migrate(s)
+	s.releaseIfIdle()
+	return m, err
+}
+
+// releaseIfIdle closes a dead shard's runtime, unmapping its lakeShm
+// region, once no routed request is in flight on it. Whoever first sees the
+// shard both Dead and idle releases it: Kill or Drain when the shard is
+// already quiet, else the Wait that delivers its last request.
+func (s *Shard) releaseIfIdle() {
+	if s.State() == Dead && s.outstanding.Load() == 0 {
+		s.rt.Close()
+	}
 }
 
 // Kill hard-fails shard ord mid-traffic: the daemon crashes and its
@@ -45,7 +58,8 @@ func (f *Fleet) Drain(ord int) (*Migration, error) {
 // re-routed. In-flight flushes on the dead shard complete on the CPU
 // fallback path, so no call is lost; redeliveries of calls the dead shard
 // already executed are answered from the migrated journal, so none is
-// re-executed.
+// re-executed. The shard's runtime, and with it its lakeShm region, is
+// released as soon as its last in-flight request is delivered.
 func (f *Fleet) Kill(ord int) (*Migration, error) {
 	s, err := f.beginMigration(ord, Dead)
 	if err != nil {
@@ -55,7 +69,9 @@ func (f *Fleet) Kill(ord int) (*Migration, error) {
 		sup.Abandon(fmt.Sprintf("fleet: shard %d killed", ord))
 	}
 	s.rt.Daemon().InjectCrash(false)
-	return f.migrate(s)
+	m, err := f.migrate(s)
+	s.releaseIfIdle()
+	return m, err
 }
 
 // beginMigration transitions the shard out of Active so the router stops

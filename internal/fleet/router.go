@@ -111,7 +111,9 @@ func (p *Pending) TraceID() uint64 { return p.p.TraceID() }
 // slots. Exactly one goroutine should Wait per Pending.
 func (p *Pending) Wait() ([][]float32, error) {
 	out, err := p.p.Wait()
-	p.shard.outstanding.Add(-1)
+	if p.shard.outstanding.Add(-1) == 0 {
+		p.shard.releaseIfIdle()
+	}
 	p.t.outstanding.Add(-1)
 	p.t.f.outstanding.Add(-1)
 	return out, err
@@ -162,12 +164,31 @@ func (c *Client) Submit(model string, items [][]float32) (*Pending, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Count the request on the shard before touching its batcher, then
+	// re-check the state: a shard that left Active meanwhile releases its
+	// runtime once idle, so the request must go elsewhere. Kill and Drain
+	// store the state before reading outstanding, the reverse order, so one
+	// side always sees the other.
+	for {
+		s.outstanding.Add(1)
+		if s.State() == Active {
+			break
+		}
+		if s.outstanding.Add(-1) == 0 {
+			s.releaseIfIdle()
+		}
+		if s, sc, rerouted, err = t.route(); err != nil {
+			return nil, err
+		}
+	}
 	decideNs := time.Since(start).Nanoseconds()
 	p, err := sc.Submit(model, items)
 	if err != nil {
+		if s.outstanding.Add(-1) == 0 {
+			s.releaseIfIdle()
+		}
 		return nil, err
 	}
-	s.outstanding.Add(1)
 	now := t.outstanding.Add(1)
 	for {
 		peak := t.peak.Load()

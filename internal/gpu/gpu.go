@@ -91,9 +91,15 @@ func DefaultSpec() Spec {
 	}
 }
 
+// busySpan is one busy interval of the device's history. maxEnd is the
+// running maximum of end over this span and every span recorded before it:
+// OccupySpan may record spans out of end order, so Utilization
+// binary-searches maxEnd (which never decreases) instead of end for the
+// first span that can reach into its window. client is the interned id of
+// the span's client name (Device.clientIDs).
 type busySpan struct {
-	client     string
-	start, end time.Duration
+	start, end, maxEnd time.Duration
+	client             int32
 }
 
 // Device is one simulated accelerator. All methods are safe for concurrent
@@ -108,7 +114,14 @@ type Device struct {
 	next      DevPtr
 	used      int64
 	busyUntil time.Duration
-	spans     []busySpan // recent busy intervals, pruned lazily
+	// spans is a ring holding the retained busy intervals in record order:
+	// spanCount of them, the oldest at spans[spanHead]. Its length is a
+	// power of two, doubled when the ring is full.
+	spans     []busySpan
+	spanHead  int
+	spanCount int
+	// clientIDs interns the client names spans carry.
+	clientIDs map[string]int32
 	launches  int64
 	// maxWindow is the largest window any Utilization query has asked for;
 	// the span-prune horizon tracks it so long-window queries stay accurate.
@@ -183,11 +196,12 @@ func NewIndexed(spec Spec, clock *vtime.Clock, ordinal int) *Device {
 		panic(fmt.Sprintf("gpu: device ordinal %d out of range [0, %d)", ordinal, MaxDevices))
 	}
 	return &Device{
-		spec:    spec,
-		clock:   clock,
-		ordinal: ordinal,
-		mem:     make(map[DevPtr][]byte),
-		next:    DevPtr(uint64(ordinal)<<DevPtrOrdinalShift | 0x1000),
+		spec:      spec,
+		clock:     clock,
+		ordinal:   ordinal,
+		mem:       make(map[DevPtr][]byte),
+		next:      DevPtr(uint64(ordinal)<<DevPtrOrdinalShift | 0x1000),
+		clientIDs: make(map[string]int32),
 	}
 }
 
@@ -290,8 +304,7 @@ func (d *Device) Execute(client string, cost time.Duration, fn func()) time.Dura
 	end := start + cost
 	d.busyUntil = end
 	d.launches++
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: end})
-	d.pruneLocked(end)
+	d.recordLocked(client, start, end)
 	d.mu.Unlock()
 
 	d.tel.Launches.Inc()
@@ -321,8 +334,7 @@ func (d *Device) OccupyUntil(client string, t time.Duration) {
 		return
 	}
 	d.busyUntil = t
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: t})
-	d.pruneLocked(t)
+	d.recordLocked(client, start, t)
 }
 
 // OccupySpan records client occupancy over an arbitrary [start, end)
@@ -338,8 +350,7 @@ func (d *Device) OccupySpan(client string, start, end time.Duration) {
 	if end > d.busyUntil {
 		d.busyUntil = end
 	}
-	d.spans = append(d.spans, busySpan{client: client, start: start, end: end})
-	d.pruneLocked(end)
+	d.recordLocked(client, start, end)
 }
 
 // BusyUntil reports the virtual instant the device next becomes idle.
@@ -363,6 +374,44 @@ func (d *Device) SetUtilizationRetention(window time.Duration) {
 	}
 }
 
+// internLocked returns client's interned id, assigning the next one on
+// first use.
+func (d *Device) internLocked(client string) int32 {
+	id, ok := d.clientIDs[client]
+	if !ok {
+		id = int32(len(d.clientIDs))
+		d.clientIDs[client] = id
+	}
+	return id
+}
+
+// spanAt returns the i-th oldest retained span.
+func (d *Device) spanAt(i int) *busySpan {
+	return &d.spans[(d.spanHead+i)&(len(d.spans)-1)]
+}
+
+// recordLocked appends one busy span and prunes the history as of end.
+func (d *Device) recordLocked(client string, start, end time.Duration) {
+	maxEnd := end
+	if d.spanCount > 0 {
+		maxEnd = max(maxEnd, d.spanAt(d.spanCount-1).maxEnd)
+	}
+	if d.spanCount == len(d.spans) {
+		grown := make([]busySpan, max(64, 2*len(d.spans)))
+		n := copy(grown, d.spans[d.spanHead:])
+		copy(grown[n:], d.spans[:d.spanHead])
+		d.spans, d.spanHead = grown, 0
+	}
+	*d.spanAt(d.spanCount) = busySpan{start: start, end: end, maxEnd: maxEnd, client: d.internLocked(client)}
+	d.spanCount++
+	d.pruneLocked(end)
+}
+
+// pruneLocked drops the oldest spans that ended before the retention
+// horizon. It stops at the first span still inside the horizon, so a span
+// recorded out of end order stays until every span before it has gone.
+// Dropping a span only advances the ring's head, so a launch costs O(1)
+// amortized however long the history is.
 func (d *Device) pruneLocked(now time.Duration) {
 	// The horizon must cover the widest window any caller samples: pruning
 	// at a fixed history while a wider Utilization window is in use would
@@ -372,18 +421,18 @@ func (d *Device) pruneLocked(now time.Duration) {
 		horizon = d.maxWindow
 	}
 	cutoff := now - horizon
-	i := 0
-	for i < len(d.spans) && d.spans[i].end < cutoff {
-		i++
-	}
-	if i > 0 {
-		d.spans = append(d.spans[:0], d.spans[i:]...)
+	for d.spanCount > 0 && d.spans[d.spanHead].end < cutoff {
+		d.spanHead = (d.spanHead + 1) & (len(d.spans) - 1)
+		d.spanCount--
 	}
 }
 
 // Utilization reports the fraction of the trailing window during which the
 // device was busy, optionally filtered to one client (empty string = all).
-// This is the signal the NVML shim exposes to contention policies.
+// This is the signal the NVML shim exposes to contention policies. It
+// visits only the spans from the first one whose running maximum end
+// reaches past the window's start: every span before it ends at or before
+// that start and contributes nothing.
 func (d *Device) Utilization(window time.Duration, client string) float64 {
 	if window <= 0 {
 		return 0
@@ -404,9 +453,26 @@ func (d *Device) Utilization(window time.Duration, client string) float64 {
 			return 0
 		}
 	}
+	id := int32(-1)
+	if client != "" {
+		var ok bool
+		if id, ok = d.clientIDs[client]; !ok {
+			return 0 // never recorded a span
+		}
+	}
+	lo, hi := 0, d.spanCount
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if d.spanAt(mid).maxEnd > from {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
 	var busy time.Duration
-	for _, s := range d.spans {
-		if s.end <= from || (client != "" && s.client != client) {
+	for i := lo; i < d.spanCount; i++ {
+		s := d.spanAt(i)
+		if s.end <= from || (id >= 0 && s.client != id) {
 			continue
 		}
 		st, en := s.start, s.end

@@ -164,11 +164,15 @@ func TestSpanPruning(t *testing.T) {
 		d.Execute("x", 10*time.Millisecond, nil)
 	}
 	d.mu.Lock()
-	n := len(d.spans)
+	live, physical := d.spanCount, len(d.spans)
 	d.mu.Unlock()
 	// 5s history at 10ms per span = at most ~501 spans retained.
-	if n > 600 {
-		t.Fatalf("retained %d spans, pruning not effective", n)
+	if live > 600 {
+		t.Fatalf("retained %d spans, pruning not effective", live)
+	}
+	// Pruned slots are reused: the ring only grows while it is full.
+	if physical > 2*live+1 {
+		t.Fatalf("span ring holds %d slots for %d live spans", physical, live)
 	}
 	if got := d.Launches(); got != 1000 {
 		t.Fatalf("Launches = %d, want 1000", got)

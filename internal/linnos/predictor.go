@@ -101,8 +101,16 @@ type Predictor struct {
 
 	// stageMu serializes InferLAKE: the staging buffers and device slabs
 	// are one per predictor, so concurrent remoted runs must not
-	// interleave.
+	// interleave. It also guards the host-side scratch: the flattened
+	// input and the decoded logits.
 	stageMu sync.Mutex
+	flat    []float32
+	logits  []float32
+
+	// kmu guards the device kernel's scratch: the decoded input, the packed
+	// output and the forward activations.
+	kmu                      sync.Mutex
+	kernIn, kernOut, kernAct []float32
 
 	// gpuLat / cpuLat are the runtime's shared per-item latency series
 	// (the histograms the Fig 3 policy's observed-latency mode reads);
@@ -221,16 +229,20 @@ func (p *Predictor) kernelBody(dev *gpu.Device, args []uint64) error {
 	if err != nil {
 		return err
 	}
-	flat, err := cuda.Float32s(inMem, batch*InputWidth)
+	p.kmu.Lock()
+	defer p.kmu.Unlock()
+	flat, err := cuda.Float32sInto(p.kernIn, inMem, batch*InputWidth)
 	if err != nil {
 		return err
 	}
+	p.kernIn = flat
 	net := p.net.Load() // one load per batch: a concurrent swap cannot mix versions mid-batch
-	out := make([]float32, 0, batch*2)
+	out := p.kernOut[:0]
 	for i := 0; i < batch; i++ {
-		logits := net.Forward(flat[i*InputWidth : (i+1)*InputWidth])
+		logits := net.ForwardInto(flat[i*InputWidth:(i+1)*InputWidth], &p.kernAct)
 		out = append(out, logits...)
 	}
+	p.kernOut = out
 	return cuda.PutFloat32s(outMem, out)
 }
 
@@ -291,14 +303,14 @@ func (p *Predictor) InferLAKE(batch [][]float32, sync bool) ([]bool, time.Durati
 	p.stageMu.Lock()
 	defer p.stageMu.Unlock()
 	lib := p.rt.Lib()
-	flat := make([]float32, 0, n*InputWidth)
+	p.flat = p.flat[:0]
 	for _, x := range batch {
 		if len(x) != InputWidth {
 			return nil, 0, fmt.Errorf("linnos: feature vector width %d, want %d", len(x), InputWidth)
 		}
-		flat = append(flat, x...)
+		p.flat = append(p.flat, x...)
 	}
-	if err := cuda.PutFloat32s(p.inBuf.Bytes(), flat); err != nil {
+	if err := cuda.PutFloat32s(p.inBuf.Bytes(), p.flat); err != nil {
 		return nil, 0, err
 	}
 	inBytes := int64(4 * n * InputWidth)
@@ -332,10 +344,11 @@ func (p *Predictor) InferLAKE(batch [][]float32, sync bool) ([]bool, time.Durati
 	elapsed := sw.Elapsed()
 	p.gpuLat.ObserveDuration(elapsed / time.Duration(n))
 
-	logits, err := cuda.Float32s(p.outBuf.Bytes(), n*2)
+	logits, err := cuda.Float32sInto(p.logits, p.outBuf.Bytes(), n*2)
 	if err != nil {
 		return nil, 0, err
 	}
+	p.logits = logits
 	slow := make([]bool, n)
 	for i := range slow {
 		slow[i] = logits[2*i+1] > logits[2*i]

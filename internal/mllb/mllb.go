@@ -62,6 +62,7 @@ func New(rt *core.Runtime, net *nn.Network) (*Balancer, error) {
 		CPUPerItem:   cpuPerItem,
 		FlopsPerItem: net.Flops(),
 		Forward:      net.Forward,
+		ForwardInto:  net.ForwardInto,
 	})
 	if err != nil {
 		return nil, err
@@ -88,11 +89,12 @@ func (b *Balancer) ClassifyCPU(batch [][]float32) ([]bool, time.Duration) {
 
 // ClassifyLAKE scores a batch through LAKE.
 func (b *Balancer) ClassifyLAKE(batch [][]float32, sync bool) ([]bool, time.Duration, error) {
-	out, d, err := b.runner.RunLAKE(batch, sync)
+	res := make([]bool, len(batch))
+	d, err := b.runner.RunLAKEEach(batch, sync, func(i int, y []float32) { res[i] = y[1] > y[0] })
 	if err != nil {
 		return nil, 0, err
 	}
-	return argmax1(out), d, nil
+	return res, d, nil
 }
 
 // ClassifyAuto routes the batch through pol and scores on the decided

@@ -46,6 +46,12 @@ type Config struct {
 	// hot-swap hook: resolving per batch (instead of reading a mutable
 	// Forward per item) guarantees a batch never mixes model versions.
 	ForwardProvider func() func(x []float32) []float32
+	// ForwardInto, when non-nil, computes exactly what Forward computes,
+	// writing activations into caller scratch (nn.Network.ForwardInto). The
+	// device kernel then runs every item on runner-owned scratch instead of
+	// allocating per item. It requires Forward, and a ForwardProvider
+	// overrides it.
+	ForwardInto func(x []float32, scratch *[]float32) []float32
 }
 
 // forward resolves the per-batch forward function (nil = timing-only).
@@ -64,6 +70,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("offload: %s: invalid dimensions %dx%d max %d",
 			c.Name, c.InputWidth, c.OutputWidth, c.MaxBatch)
 	}
+	if c.ForwardInto != nil && c.Forward == nil {
+		return fmt.Errorf("offload: %s: ForwardInto without Forward", c.Name)
+	}
 	return nil
 }
 
@@ -77,8 +86,17 @@ type Runner struct {
 	inBuf, outBuf *shm.Buffer
 
 	// stageMu serializes RunLAKE: the staging buffers and device slabs are
-	// one per runner, so concurrent remoted runs must not interleave.
+	// one per runner, so concurrent remoted runs must not interleave. It
+	// also guards the host-side scratch: the flattened input and the
+	// decoded output.
 	stageMu sync.Mutex
+	flat    []float32
+	hostOut []float32
+
+	// kmu guards the device kernel's scratch: the decoded input, the packed
+	// output and the forward activations.
+	kmu                      sync.Mutex
+	kernIn, kernOut, kernAct []float32
 
 	// gpuLat / cpuLat are the runtime's shared per-item latency series
 	// (the same histograms the batcher feeds and the Fig 3 policy's
@@ -149,6 +167,10 @@ func (r *Runner) kernelBody(dev *gpu.Device, args []uint64) error {
 	if fwd == nil {
 		return nil // timing-only kernel
 	}
+	into := r.cfg.ForwardInto
+	if r.cfg.ForwardProvider != nil {
+		into = nil // the hot-swapped model resolved for this batch wins
+	}
 	inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
 	if err != nil {
 		return err
@@ -157,19 +179,29 @@ func (r *Runner) kernelBody(dev *gpu.Device, args []uint64) error {
 	if err != nil {
 		return err
 	}
-	flat, err := cuda.Float32s(inMem, n*r.cfg.InputWidth)
+	r.kmu.Lock()
+	defer r.kmu.Unlock()
+	flat, err := cuda.Float32sInto(r.kernIn, inMem, n*r.cfg.InputWidth)
 	if err != nil {
 		return err
 	}
-	out := make([]float32, 0, n*r.cfg.OutputWidth)
+	r.kernIn = flat
+	out := r.kernOut[:0]
 	for i := 0; i < n; i++ {
-		y := fwd(flat[i*r.cfg.InputWidth : (i+1)*r.cfg.InputWidth])
+		x := flat[i*r.cfg.InputWidth : (i+1)*r.cfg.InputWidth]
+		var y []float32
+		if into != nil {
+			y = into(x, &r.kernAct)
+		} else {
+			y = fwd(x)
+		}
 		if len(y) != r.cfg.OutputWidth {
 			return fmt.Errorf("%s: forward returned %d outputs, want %d",
 				r.cfg.Name, len(y), r.cfg.OutputWidth)
 		}
 		out = append(out, y...)
 	}
+	r.kernOut = out
 	return cuda.PutFloat32s(outMem, out)
 }
 
@@ -195,26 +227,46 @@ func (r *Runner) RunCPU(batch [][]float32) ([][]float32, time.Duration) {
 
 // RunLAKE executes the batch through the full remoted stack. With sync the
 // input staging copy is on the measured critical path ("LAKE (sync.)");
-// otherwise it is charged before timing starts ("LAKE").
+// otherwise it is charged before timing starts ("LAKE"). The returned
+// outputs are the caller's.
 func (r *Runner) RunLAKE(batch [][]float32, sync bool) ([][]float32, time.Duration, error) {
+	n, w := len(batch), r.cfg.OutputWidth
+	flat := make([]float32, n*w)
+	elapsed, err := r.RunLAKEEach(batch, sync, func(i int, y []float32) { copy(flat[i*w:], y) })
+	if err != nil || n == 0 {
+		return nil, 0, err
+	}
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out, elapsed, nil
+}
+
+// RunLAKEEach is RunLAKE without materializing the outputs: it calls visit
+// with each item's output row in batch order. The row aliases runner
+// scratch and is valid only during that visit call; a caller that keeps
+// results copies them out. With reused scratch throughout, a steady-state
+// run allocates nothing of its own.
+func (r *Runner) RunLAKEEach(batch [][]float32, sync bool, visit func(i int, y []float32)) (time.Duration, error) {
 	n := len(batch)
 	if n == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
 	if n > r.cfg.MaxBatch {
-		return nil, 0, fmt.Errorf("%s: batch %d exceeds max %d", r.cfg.Name, n, r.cfg.MaxBatch)
+		return 0, fmt.Errorf("%s: batch %d exceeds max %d", r.cfg.Name, n, r.cfg.MaxBatch)
 	}
 	r.stageMu.Lock()
 	defer r.stageMu.Unlock()
-	flat := make([]float32, 0, n*r.cfg.InputWidth)
+	r.flat = r.flat[:0]
 	for _, x := range batch {
 		if len(x) != r.cfg.InputWidth {
-			return nil, 0, fmt.Errorf("%s: item width %d, want %d", r.cfg.Name, len(x), r.cfg.InputWidth)
+			return 0, fmt.Errorf("%s: item width %d, want %d", r.cfg.Name, len(x), r.cfg.InputWidth)
 		}
-		flat = append(flat, x...)
+		r.flat = append(r.flat, x...)
 	}
-	if err := cuda.PutFloat32s(r.inBuf.Bytes(), flat); err != nil {
-		return nil, 0, err
+	if err := cuda.PutFloat32s(r.inBuf.Bytes(), r.flat); err != nil {
+		return 0, err
 	}
 	lib := r.rt.Lib()
 	inBytes := int64(4 * n * r.cfg.InputWidth)
@@ -229,32 +281,33 @@ func (r *Runner) RunLAKE(batch [][]float32, sync bool) ([][]float32, time.Durati
 	if sync {
 		sw = vtime.StartStopwatch(r.rt.Clock())
 		if err := copyIn(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	} else {
 		if err := copyIn(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		sw = vtime.StartStopwatch(r.rt.Clock())
 	}
 	if res := lib.CuLaunchKernel(r.ctx, r.fn, []uint64{uint64(r.devIn), uint64(r.devOut), uint64(n)}); res != cuda.Success {
-		return nil, 0, res.Err()
+		return 0, res.Err()
 	}
 	if res := lib.CuMemcpyDtoHShm(r.outBuf, r.devOut, outBytes); res != cuda.Success {
-		return nil, 0, res.Err()
+		return 0, res.Err()
 	}
 	elapsed := sw.Elapsed()
 	r.gpuLat.ObserveDuration(elapsed / time.Duration(n))
 
-	vals, err := cuda.Float32s(r.outBuf.Bytes(), n*r.cfg.OutputWidth)
+	w := r.cfg.OutputWidth
+	vals, err := cuda.Float32sInto(r.hostOut, r.outBuf.Bytes(), n*w)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	out := make([][]float32, n)
-	for i := range out {
-		out[i] = vals[i*r.cfg.OutputWidth : (i+1)*r.cfg.OutputWidth]
+	r.hostOut = vals
+	for i := 0; i < n; i++ {
+		visit(i, vals[i*w:(i+1)*w:(i+1)*w])
 	}
-	return out, elapsed, nil
+	return elapsed, nil
 }
 
 // RunAuto routes one batch through pol (the Fig 3 profitability policy)

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -186,5 +187,75 @@ func TestNewRunnerDuplicateKernelNameOK(t *testing.T) {
 	}
 	if _, err := NewRunner(rt, cfg("dup")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Concurrent RunLAKE callers share one runner's staging and kernel scratch:
+// every caller must get its own batch's outputs, and outputs handed back
+// stay intact while other callers keep running.
+func TestRunLAKEConcurrentCallersOwnResults(t *testing.T) {
+	rt := boot(t)
+	c := cfg("dbl_into")
+	c.ForwardInto = func(x []float32, scratch *[]float32) []float32 {
+		if cap(*scratch) < len(x) {
+			*scratch = make([]float32, len(x))
+		}
+		out := (*scratch)[:len(x)]
+		for i, v := range x {
+			out[i] = 2 * v
+		}
+		return out
+	}
+	r, err := NewRunner(rt, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, rounds = 4, 50
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			var kept [][][]float32
+			var batches [][][]float32
+			for k := 0; k < rounds; k++ {
+				batch := make([][]float32, 1+(g+k)%3)
+				for i := range batch {
+					base := float32(g*10000 + k*10 + i)
+					batch[i] = []float32{base, base + 0.25, base + 0.5, base + 0.75}
+				}
+				out, _, err := r.RunLAKE(batch, k%2 == 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				kept = append(kept, out)
+				batches = append(batches, batch)
+			}
+			for k, out := range kept {
+				for i, x := range batches[k] {
+					for j := range x {
+						if out[i][j] != 2*x[j] {
+							errs <- fmt.Errorf("caller %d round %d item %d: got %v, want 2x %v", g, k, i, out[i], x)
+							return
+						}
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestForwardIntoRequiresForward(t *testing.T) {
+	rt := boot(t)
+	c := cfg("into_only")
+	c.Forward = nil
+	c.ForwardInto = func(x []float32, _ *[]float32) []float32 { return x }
+	if _, err := NewRunner(rt, c); err == nil {
+		t.Fatal("ForwardInto without Forward accepted")
 	}
 }

@@ -38,6 +38,8 @@ type Daemon struct {
 	// half of the ring transport's 0 allocs/op budget.
 	pumpMu  sync.Mutex
 	scratch pumpScratch
+	// stopped is set by Stop under pumpMu: a stopped daemon serves nothing.
+	stopped bool
 
 	mu        sync.Mutex
 	highlevel map[string]HighLevelHandler
@@ -187,6 +189,16 @@ func (d *Daemon) Restart() {
 	d.rec.Emit(flightrec.DomainDaemon, flightrec.EvRestart, 0, 0, 0, gen, 0, 0)
 }
 
+// Stop shuts lakeD down for good: it waits for the command being served,
+// if any, and from then on PumpOne serves nothing. Runtime.Close calls it
+// before unmapping the lakeShm region, so no command can touch the region
+// afterwards.
+func (d *Daemon) Stop() {
+	d.pumpMu.Lock()
+	d.stopped = true
+	d.pumpMu.Unlock()
+}
+
 // Restarts counts supervisor restarts; Generation is the current restart
 // epoch (0 for the original process).
 func (d *Daemon) Restarts() int64 {
@@ -282,6 +294,9 @@ func (d *Daemon) PumpOne() bool {
 	}
 	d.pumpMu.Lock()
 	defer d.pumpMu.Unlock()
+	if d.stopped {
+		return false
+	}
 	frame, ok := d.tr.RecvInUser()
 	if !ok {
 		return false

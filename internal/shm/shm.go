@@ -3,19 +3,32 @@
 // contiguous memory region from the Linux kernel. When lakeD is started, the
 // same region is mapped to its process").
 //
-// The region here is one Go byte slice playing the role of the CMA-backed
-// DMA region (the artifact boots with cma=128M). Buffers handed out by Alloc
-// are sub-slices of the region, so kernel-domain code and the user-domain
-// daemon literally address the same memory — the zero-copy property §4.1
-// relies on. Placement uses the best-fit allocator, as in the prototype.
+// The region here is one contiguous byte range playing the role of the
+// CMA-backed DMA region (the artifact boots with cma=128M). Buffers handed
+// out by Alloc are sub-slices of the region, so kernel-domain code and the
+// user-domain daemon literally address the same memory — the zero-copy
+// property §4.1 relies on. Placement uses the best-fit allocator, as in the
+// prototype.
+//
+// On unix builds without the race detector the range is an anonymous
+// MAP_NORESERVE mapping outside the Go heap: only the pages actually
+// written take memory, and the region does not count toward the garbage
+// collector's heap goal. Race-detector builds (and non-unix ones) back it
+// with an ordinary heap slice, because the race detector cannot see
+// accesses to memory it did not allocate. Close releases the range.
 package shm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lakego/internal/bestfit"
 )
+
+// ErrClosed is returned by region accessors after Close.
+var ErrClosed = errors.New("shm: region closed")
 
 // DefaultRegionSize matches the artifact's cma=128M boot parameter.
 const DefaultRegionSize = 128 << 20
@@ -25,11 +38,14 @@ const DefaultRegionSize = 128 << 20
 const allocAlign = 64
 
 // Region is the shared contiguous memory area. All methods are safe for
-// concurrent use.
+// concurrent use, except that Close must not race with any use of the
+// region's memory: the caller closes it once both domains are done with it.
 type Region struct {
-	mu    sync.Mutex
-	mem   []byte
-	alloc *bestfit.Allocator
+	mu     sync.Mutex
+	mem    []byte
+	size   int64
+	closed atomic.Bool
+	alloc  *bestfit.Allocator
 }
 
 // Buffer is one allocation inside the region. The same Buffer value is
@@ -47,11 +63,33 @@ func NewRegion(size int64) (*Region, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
 	}
-	return &Region{mem: make([]byte, size), alloc: a}, nil
+	mem, err := mapRegion(size)
+	if err != nil {
+		return nil, fmt.Errorf("shm: map %d bytes: %w", size, err)
+	}
+	return &Region{mem: mem, size: size, alloc: a}, nil
+}
+
+// Close releases the region's memory. It is idempotent; afterwards Alloc,
+// Free and At return ErrClosed and Buffer.Bytes returns nil. Slices obtained
+// before Close must not be used after it.
+func (r *Region) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return nil
+	}
+	r.closed.Store(true)
+	mem := r.mem
+	r.mem = nil
+	if err := unmapRegion(mem); err != nil {
+		return fmt.Errorf("shm: unmap: %w", err)
+	}
+	return nil
 }
 
 // Size returns the total region size.
-func (r *Region) Size() int64 { return int64(len(r.mem)) }
+func (r *Region) Size() int64 { return r.size }
 
 // Used returns currently allocated bytes (including alignment padding).
 func (r *Region) Used() int64 {
@@ -65,6 +103,9 @@ func (r *Region) Used() int64 {
 func (r *Region) Alloc(size int64) (*Buffer, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return nil, ErrClosed
+	}
 	off, err := r.alloc.Alloc(size)
 	if err != nil {
 		return nil, fmt.Errorf("shm: %w", err)
@@ -79,6 +120,9 @@ func (r *Region) Free(b *Buffer) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return ErrClosed
+	}
 	return r.alloc.Free(b.off)
 }
 
@@ -86,9 +130,12 @@ func (r *Region) Free(b *Buffer) error {
 // the user-domain view of the same bytes. This is lakeD's side of the
 // zero-copy handoff.
 func (r *Region) At(off, size int64) ([]byte, error) {
-	if off < 0 || size < 0 || off+size > int64(len(r.mem)) {
+	if r.closed.Load() {
+		return nil, ErrClosed
+	}
+	if off < 0 || size < 0 || off+size > r.size {
 		return nil, fmt.Errorf("shm: range [%d,%d) outside region of %d bytes",
-			off, off+size, len(r.mem))
+			off, off+size, r.size)
 	}
 	return r.mem[off : off+size], nil
 }
@@ -99,8 +146,12 @@ func (b *Buffer) Offset() int64 { return b.off }
 // Size returns the buffer's requested size.
 func (b *Buffer) Size() int64 { return b.size }
 
-// Bytes returns the buffer's backing memory. Writes are visible to both
-// domains immediately: there is exactly one copy of the data.
+// Bytes returns the buffer's backing memory, or nil once the region is
+// closed. Writes are visible to both domains immediately: there is exactly
+// one copy of the data.
 func (b *Buffer) Bytes() []byte {
+	if b.region.closed.Load() {
+		return nil
+	}
 	return b.region.mem[b.off : b.off+b.size]
 }

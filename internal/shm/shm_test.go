@@ -1,6 +1,8 @@
 package shm
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -113,5 +115,64 @@ func TestQuickBuffersDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCloseIsIdempotentAndFencesAccessors(t *testing.T) {
+	r, err := NewRegion(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Alloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(b.Bytes(), "staged")
+	for i := 0; i < 2; i++ {
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	if _, err := r.At(b.Offset(), b.Size()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("At after Close: err = %v, want ErrClosed", err)
+	}
+	if _, err := r.Alloc(64); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Alloc after Close: err = %v, want ErrClosed", err)
+	}
+	if err := r.Free(b); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Free after Close: err = %v, want ErrClosed", err)
+	}
+	if got := b.Bytes(); got != nil {
+		t.Fatalf("Bytes after Close = %d bytes, want nil", len(got))
+	}
+	if got := r.Size(); got != 1<<16 {
+		t.Fatalf("Size after Close = %d", got)
+	}
+}
+
+// On off-heap builds a region costs the Go heap nothing: mapping 256 MiB
+// must not move the heap the garbage collector paces against.
+func TestRegionOffHeap(t *testing.T) {
+	if !offHeap {
+		t.Skip("this build keeps lakeShm on the Go heap")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := NewRegion(256 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	b, err := r.Alloc(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range b.Bytes() {
+		b.Bytes()[i] = byte(i)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapSys) - int64(before.HeapSys); grew > 16<<20 {
+		t.Fatalf("heap grew %d bytes for an off-heap region", grew)
 	}
 }

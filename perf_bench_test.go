@@ -6,11 +6,13 @@ package lake_test
 
 import (
 	"testing"
+	"time"
 
 	"lakego/internal/bestfit"
 	"lakego/internal/core"
 	"lakego/internal/features"
 	"lakego/internal/flightrec"
+	"lakego/internal/gpu"
 	"lakego/internal/linnos"
 	"lakego/internal/lockfree"
 	"lakego/internal/nn"
@@ -100,6 +102,43 @@ func BenchmarkPerfNNForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x)
+	}
+}
+
+// gpuFullHistory returns a device holding 5 s of 5-µs launches every 15 µs
+// (333k busy spans): the history the remoted call path carries once the
+// device clock passes the utilization horizon.
+func gpuFullHistory() *gpu.Device {
+	clk := vtime.New()
+	d := gpu.New(gpu.DefaultSpec(), clk)
+	for clk.Now() < 5*time.Second {
+		d.Execute("bench", 5*time.Microsecond, nil)
+		clk.Advance(10 * time.Microsecond)
+	}
+	return d
+}
+
+// BenchmarkPerfGPULaunchFullHistory measures one launch on a device whose
+// span history is full, so every launch also prunes an expired span.
+func BenchmarkPerfGPULaunchFullHistory(b *testing.B) {
+	d := gpuFullHistory()
+	clk := d.Clock()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Execute("bench", 5*time.Microsecond, nil)
+		clk.Advance(10 * time.Microsecond)
+	}
+}
+
+// BenchmarkPerfGPUUtilization measures the NVML 50-ms utilization sample
+// on the same full history.
+func BenchmarkPerfGPUUtilization(b *testing.B) {
+	d := gpuFullHistory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Utilization(50*time.Millisecond, "")
 	}
 }
 
