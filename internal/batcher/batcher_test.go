@@ -249,7 +249,8 @@ func TestBitIdenticalToUnbatched(t *testing.T) {
 	runner, err := offload.NewRunner(rtB, offload.Config{
 		Name: "testmodel", InputWidth: inW, OutputWidth: outW, MaxBatch: 1024,
 		CPUFixed: 2 * time.Microsecond, CPUPerItem: time.Microsecond,
-		FlopsPerItem: 1000, Forward: forward,
+		FlopsPerItem: 1000,
+		Forward:      func(x []float32, _ *[]float32) []float32 { return forward(x) },
 	})
 	if err != nil {
 		t.Fatal(err)

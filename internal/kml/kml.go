@@ -276,7 +276,7 @@ func New(rt *core.Runtime, net *nn.Network) (*Classifier, error) {
 		// SwapNet only admits same-shape networks, so the per-item FLOP
 		// count captured here stays correct across hot-swaps.
 		FlopsPerItem:    net.Flops(),
-		ForwardProvider: func() func([]float32) []float32 { return c.net.Load().Forward },
+		ForwardProvider: func() offload.ForwardFunc { return c.net.Load().ForwardInto },
 	})
 	if err != nil {
 		return nil, err

@@ -61,8 +61,7 @@ func New(rt *core.Runtime, net *nn.Network) (*Balancer, error) {
 		CPUFixed:     cpuFixed,
 		CPUPerItem:   cpuPerItem,
 		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
-		ForwardInto:  net.ForwardInto,
+		Forward:      net.ForwardInto,
 	})
 	if err != nil {
 		return nil, err

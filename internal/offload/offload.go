@@ -37,25 +37,27 @@ type Config struct {
 	CPUFixed, CPUPerItem time.Duration
 	// FlopsPerItem drives the GPU compute-time model.
 	FlopsPerItem float64
-	// Forward computes one item's real output. May be nil for
-	// timing-only configurations (e.g. the large malware sweeps), in
-	// which case outputs are zero.
-	Forward func(x []float32) []float32
+	// Forward computes one item's real output, writing its activations
+	// into *scratch when scratch is non-nil (nn.Network.ForwardInto). The
+	// device kernel passes runner-owned scratch, so a steady-state item
+	// allocates nothing; RunCPU passes nil, and the output must then be
+	// freshly allocated because it is handed to the caller. May be nil for
+	// timing-only configurations (e.g. the large malware sweeps), in which
+	// case outputs are zero.
+	Forward ForwardFunc
 	// ForwardProvider, when non-nil, is resolved once per batch to obtain
 	// the forward function, overriding Forward. It is the model-lifecycle
 	// hot-swap hook: resolving per batch (instead of reading a mutable
 	// Forward per item) guarantees a batch never mixes model versions.
-	ForwardProvider func() func(x []float32) []float32
-	// ForwardInto, when non-nil, computes exactly what Forward computes,
-	// writing activations into caller scratch (nn.Network.ForwardInto). The
-	// device kernel then runs every item on runner-owned scratch instead of
-	// allocating per item. It requires Forward, and a ForwardProvider
-	// overrides it.
-	ForwardInto func(x []float32, scratch *[]float32) []float32
+	ForwardProvider func() ForwardFunc
 }
 
+// ForwardFunc computes one item's output; see Config.Forward for how
+// scratch is used.
+type ForwardFunc func(x []float32, scratch *[]float32) []float32
+
 // forward resolves the per-batch forward function (nil = timing-only).
-func (c Config) forward() func(x []float32) []float32 {
+func (c Config) forward() ForwardFunc {
 	if c.ForwardProvider != nil {
 		return c.ForwardProvider()
 	}
@@ -69,9 +71,6 @@ func (c Config) validate() error {
 	if c.InputWidth <= 0 || c.OutputWidth <= 0 || c.MaxBatch <= 0 {
 		return fmt.Errorf("offload: %s: invalid dimensions %dx%d max %d",
 			c.Name, c.InputWidth, c.OutputWidth, c.MaxBatch)
-	}
-	if c.ForwardInto != nil && c.Forward == nil {
-		return fmt.Errorf("offload: %s: ForwardInto without Forward", c.Name)
 	}
 	return nil
 }
@@ -167,10 +166,6 @@ func (r *Runner) kernelBody(dev *gpu.Device, args []uint64) error {
 	if fwd == nil {
 		return nil // timing-only kernel
 	}
-	into := r.cfg.ForwardInto
-	if r.cfg.ForwardProvider != nil {
-		into = nil // the hot-swapped model resolved for this batch wins
-	}
 	inMem, err := dev.Bytes(gpu.DevPtr(args[0]))
 	if err != nil {
 		return err
@@ -189,12 +184,7 @@ func (r *Runner) kernelBody(dev *gpu.Device, args []uint64) error {
 	out := r.kernOut[:0]
 	for i := 0; i < n; i++ {
 		x := flat[i*r.cfg.InputWidth : (i+1)*r.cfg.InputWidth]
-		var y []float32
-		if into != nil {
-			y = into(x, &r.kernAct)
-		} else {
-			y = fwd(x)
-		}
+		y := fwd(x, &r.kernAct)
 		if len(y) != r.cfg.OutputWidth {
 			return fmt.Errorf("%s: forward returned %d outputs, want %d",
 				r.cfg.Name, len(y), r.cfg.OutputWidth)
@@ -212,7 +202,7 @@ func (r *Runner) RunCPU(batch [][]float32) ([][]float32, time.Duration) {
 	out := make([][]float32, len(batch))
 	for i, x := range batch {
 		if fwd != nil {
-			out[i] = fwd(x)
+			out[i] = fwd(x, nil)
 		} else {
 			out[i] = make([]float32, r.cfg.OutputWidth)
 		}

@@ -70,9 +70,12 @@ func NewRegion(size int64) (*Region, error) {
 	return &Region{mem: mem, size: size, alloc: a}, nil
 }
 
-// Close releases the region's memory. It is idempotent; afterwards Alloc,
-// Free and At return ErrClosed and Buffer.Bytes returns nil. Slices obtained
-// before Close must not be used after it.
+// Close releases the region's memory. It is idempotent; once it has
+// returned, Alloc, Free and At return ErrClosed and Buffer.Bytes returns
+// nil. Slices obtained before Close must not be used after it. At and
+// Buffer.Bytes read the memory without the lock, so a call that overlaps
+// Close is a caller bug and may fault on off-heap builds: the caller closes
+// the region only once nothing can still reach it.
 func (r *Region) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
