@@ -16,6 +16,7 @@ import (
 	"lakego/internal/cuda"
 	"lakego/internal/gpu"
 	"lakego/internal/healthplane"
+	"lakego/internal/linnos"
 	"lakego/internal/mllb"
 	"lakego/internal/nn"
 	"lakego/internal/remoting"
@@ -43,6 +44,9 @@ func newRingRuntime(t testing.TB) *core.Runtime {
 // remoted call over the ring transport performs zero heap allocations on
 // either side of the boundary.
 func TestAllocsRingRemotedCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	if r := lib.CuInit(); r != cuda.Success {
@@ -71,6 +75,9 @@ func TestAllocsRingRemotedCall(t *testing.T) {
 // the recorder ring with its own cursor, so an armed plane must not add a
 // single allocation (or any other disturbance) to the Emit-side call path.
 func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	rt := newRingRuntime(t)
 	plane := rt.NewHealthPlane(healthplane.Config{})
 	lib := rt.Lib()
@@ -101,6 +108,9 @@ func TestAllocsRingRemotedCallWithHealthPlane(t *testing.T) {
 // TestAllocsRingCallWithValues gates a stub that returns values and carries
 // args (the memcpy accounting path), not just the arg-less device count.
 func TestAllocsRingCallWithValues(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	if r := lib.CuInit(); r != cuda.Success {
@@ -152,6 +162,9 @@ func inPlaceKernel(name string) *cuda.Kernel {
 // warmed CuBatchedInferInto — marshal into scratch, one ring round trip, one
 // gathered launch, per-entry demux into scratch — is allocation-free.
 func TestAllocsRingBatchedFlushWire(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
 	rt := newRingRuntime(t)
 	lib := rt.Lib()
 	rt.RegisterKernel(inPlaceKernel("identity"))
@@ -247,5 +260,39 @@ func TestAllocsMLLBClassifyLAKE(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, classify); n > 1 {
 		t.Fatalf("MLLB ClassifyLAKE allocates %v objects/op, want <= 1", n)
+	}
+}
+
+// TestAllocsLinnOSInferLAKE gates the unbatched LinnOS inference on the
+// shared offload runner: a batch stages, launches and decodes on reused
+// runner and kernel scratch, and resolves its forward from the
+// hot-swap slot without binding a method value, so one batch allocates only
+// the prediction slice it hands back to the caller.
+func TestAllocsLinnOSInferLAKE(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rt := newRingRuntime(t)
+	pred, err := linnos.NewPredictor(rt, linnos.Base, nn.New(1, linnos.Base.Sizes()...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([][]float32, 16)
+	for i := range batch {
+		batch[i] = make([]float32, linnos.InputWidth)
+		for j := range batch[i] {
+			batch[i][j] = float32((i+j)%7) / 7
+		}
+	}
+	infer := func() {
+		if _, _, err := pred.InferLAKE(batch, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 1400; i++ { // 3 calls each: one full journal lap, see above
+		infer()
+	}
+	if n := testing.AllocsPerRun(1000, infer); n > 1 {
+		t.Fatalf("LinnOS InferLAKE allocates %v objects/op, want <= 1", n)
 	}
 }

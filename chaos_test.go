@@ -352,7 +352,7 @@ func TestChaosCrashMidBatchRace(t *testing.T) {
 		CPUFixed:     2 * time.Microsecond,
 		CPUPerItem:   time.Microsecond,
 		FlopsPerItem: 300,
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}); err != nil {
 		t.Fatal(err)
 	}

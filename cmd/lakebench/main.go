@@ -126,7 +126,7 @@ func bootFleet(shards int, routerPolicy lake.PoolPolicy) (*lake.Fleet, error) {
 		MaxBatch:     linnos.MaxBatch,
 		CPUPerItem:   linnos.Base.CPUInferCost(),
 		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}); err != nil {
 		f.Close()
 		return nil, err

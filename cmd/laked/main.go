@@ -201,7 +201,7 @@ func runFleetDemo(cfg lake.Config, shards int, policy lake.PoolPolicy, calls int
 		MaxBatch:     linnos.MaxBatch,
 		CPUPerItem:   linnos.Base.CPUInferCost(),
 		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}); err != nil {
 		log.Fatal(err)
 	}

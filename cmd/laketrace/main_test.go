@@ -165,7 +165,7 @@ func produceFleetDump(t *testing.T) *lake.FlightDump {
 	net := nn.New(7, 4, 8, 2)
 	if err := f.RegisterModel(lake.BatcherModel{
 		Name: "tracenet", InputWidth: 4, OutputWidth: 2, MaxBatch: 8,
-		FlopsPerItem: net.Flops(), Forward: net.Forward,
+		FlopsPerItem: net.Flops(), Forward: net.ForwardInto,
 	}); err != nil {
 		t.Fatal(err)
 	}

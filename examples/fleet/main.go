@@ -49,7 +49,7 @@ func main() {
 		MaxBatch:     linnos.MaxBatch,
 		CPUPerItem:   linnos.Base.CPUInferCost(),
 		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}); err != nil {
 		log.Fatal(err)
 	}

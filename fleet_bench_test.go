@@ -32,7 +32,7 @@ func fleetLinnOSModel() (lake.BatcherModel, *nn.Network) {
 		MaxBatch:     linnos.MaxBatch,
 		CPUPerItem:   linnos.Base.CPUInferCost(),
 		FlopsPerItem: net.Flops(),
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}, net
 }
 

@@ -39,6 +39,7 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/gpu"
 	"lakego/internal/gpupool"
+	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
 	"lakego/internal/shm"
@@ -122,9 +123,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ModelConfig describes one batchable model, mirroring offload.Config so
-// existing workloads can route through the batcher without retraining or
-// recalibration.
+// ModelConfig describes one batchable model with offload.Config's fields
+// and forward hook type (nn.ForwardFunc), so existing workloads can route
+// through the batcher without retraining or recalibration.
 type ModelConfig struct {
 	// Name is the device-kernel symbol (unique per runtime).
 	Name string
@@ -138,18 +139,19 @@ type ModelConfig struct {
 	CPUFixed, CPUPerItem time.Duration
 	// FlopsPerItem drives the GPU compute-time model.
 	FlopsPerItem float64
-	// Forward computes one item's output. nil means timing-only (zero
-	// outputs).
-	Forward func(x []float32) []float32
+	// Forward computes one item's output (nn.Network.ForwardInto). The
+	// batcher passes nil scratch, so each output is freshly allocated. nil
+	// means timing-only (zero outputs).
+	Forward nn.ForwardFunc
 	// ForwardProvider, when non-nil, is resolved once per flush to obtain
 	// the forward function, overriding Forward — the model-lifecycle
-	// hot-swap hook. Per-flush resolution keeps every flushed batch on a
-	// single model version.
-	ForwardProvider func() func(x []float32) []float32
+	// hot-swap hook (nn.Slot.Forward). Per-flush resolution keeps every
+	// flushed batch on a single model version.
+	ForwardProvider func() nn.ForwardFunc
 }
 
 // forward resolves the per-flush forward function (nil = timing-only).
-func (mc ModelConfig) forward() func(x []float32) []float32 {
+func (mc ModelConfig) forward() nn.ForwardFunc {
 	if mc.ForwardProvider != nil {
 		return mc.ForwardProvider()
 	}
@@ -413,7 +415,7 @@ func (m *model) kernelBody(dev *gpu.Device, args []uint64) error {
 	}
 	out := make([]float32, 0, n*m.mc.OutputWidth)
 	for i := 0; i < n; i++ {
-		y := fwd(flat[i*m.mc.InputWidth : (i+1)*m.mc.InputWidth])
+		y := fwd(flat[i*m.mc.InputWidth:(i+1)*m.mc.InputWidth], nil)
 		if len(y) != m.mc.OutputWidth {
 			return fmt.Errorf("%s: forward returned %d outputs, want %d",
 				m.mc.Name, len(y), m.mc.OutputWidth)

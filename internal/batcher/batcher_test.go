@@ -29,6 +29,10 @@ func forward(x []float32) []float32 {
 	return []float32{a, b + 1}
 }
 
+// forwardHook is forward as the scratch-taking nn.ForwardFunc hook; the
+// stand-in model has no activations to keep, so it ignores the scratch.
+func forwardHook(x []float32, _ *[]float32) []float32 { return forward(x) }
+
 func newRT(t *testing.T) *core.Runtime {
 	t.Helper()
 	rt, err := core.New(core.DefaultConfig())
@@ -46,7 +50,7 @@ func modelCfg(name string) batcher.ModelConfig {
 		MaxBatch: 1024,
 		CPUFixed: 2 * time.Microsecond, CPUPerItem: time.Microsecond,
 		FlopsPerItem: 1000,
-		Forward:      forward,
+		Forward:      forwardHook,
 	}
 }
 
@@ -250,7 +254,7 @@ func TestBitIdenticalToUnbatched(t *testing.T) {
 		Name: "testmodel", InputWidth: inW, OutputWidth: outW, MaxBatch: 1024,
 		CPUFixed: 2 * time.Microsecond, CPUPerItem: time.Microsecond,
 		FlopsPerItem: 1000,
-		Forward:      func(x []float32, _ *[]float32) []float32 { return forward(x) },
+		Forward:      forwardHook,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -265,7 +265,7 @@ func (m *model) runCPU(batch []*Pending) error {
 				out = append(out, make([]float32, m.mc.OutputWidth)...)
 				continue
 			}
-			out = append(out, fwd(flat[i*m.mc.InputWidth:(i+1)*m.mc.InputWidth])...)
+			out = append(out, fwd(flat[i*m.mc.InputWidth:(i+1)*m.mc.InputWidth], nil)...)
 		}
 		if err := cuda.PutFloat32s(p.outBuf.Bytes(), out); err != nil {
 			return err

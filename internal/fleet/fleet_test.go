@@ -31,7 +31,7 @@ func testModel(net *nn.Network) batcher.ModelConfig {
 		CPUFixed:     2 * time.Microsecond,
 		CPUPerItem:   time.Microsecond,
 		FlopsPerItem: 300,
-		Forward:      net.Forward,
+		Forward:      net.ForwardInto,
 	}
 }
 

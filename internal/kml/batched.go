@@ -20,7 +20,7 @@ func (c *Classifier) EnableBatching(b *batcher.Batcher) error {
 		// Same-shape SwapNet keeps the FLOP count stable; the provider
 		// resolves the serving version once per flush.
 		FlopsPerItem:    c.Net().Flops(),
-		ForwardProvider: func() func([]float32) []float32 { return c.Net().Forward },
+		ForwardProvider: c.net.Forward,
 	})
 }
 

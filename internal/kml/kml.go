@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"lakego/internal/core"
@@ -251,11 +250,11 @@ func Train(seed int64, samples []Sample, epochs int) (*nn.Network, float64, erro
 }
 
 // Classifier is the KML model wired through LAKE. The serving network
-// sits behind an atomic pointer so the model lifecycle can hot-swap
-// versions; the offload runner resolves the forward function once per
-// batch, so a swap never mixes versions inside a batch.
+// sits in a hot-swap slot so the model lifecycle can swap versions; the
+// offload runner resolves the slot's bound forward once per batch, so a
+// swap never mixes versions inside a batch.
 type Classifier struct {
-	net    atomic.Pointer[nn.Network]
+	net    nn.Slot
 	runner *offload.Runner
 }
 
@@ -276,7 +275,7 @@ func New(rt *core.Runtime, net *nn.Network) (*Classifier, error) {
 		// SwapNet only admits same-shape networks, so the per-item FLOP
 		// count captured here stays correct across hot-swaps.
 		FlopsPerItem:    net.Flops(),
-		ForwardProvider: func() offload.ForwardFunc { return c.net.Load().ForwardInto },
+		ForwardProvider: c.net.Forward,
 	})
 	if err != nil {
 		return nil, err
@@ -299,17 +298,7 @@ func (c *Classifier) Net() *nn.Network { return c.net.Load() }
 // SwapNet atomically replaces the serving network — the lifecycle
 // manager's hot-swap hook. The replacement must have the KML input and
 // output widths. In-flight batches finish on the version they resolved.
-func (c *Classifier) SwapNet(net *nn.Network) error {
-	// Fast path: shape-matching the serving net avoids the Sizes()
-	// allocations on every flip; odd shapes fall through to the full check.
-	if !nn.SameShape(c.net.Load(), net) {
-		if err := checkSizes(net); err != nil {
-			return err
-		}
-	}
-	c.net.Store(net)
-	return nil
-}
+func (c *Classifier) SwapNet(net *nn.Network) error { return c.net.Swap(net, checkSizes) }
 
 // Runner exposes the offload runner.
 func (c *Classifier) Runner() *offload.Runner { return c.runner }

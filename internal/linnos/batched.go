@@ -31,7 +31,7 @@ func (p *Predictor) EnableBatching(b *batcher.Batcher) error {
 		// Same-shape SwapNet keeps the FLOP count stable; the provider
 		// resolves the serving version once per flush.
 		FlopsPerItem:    p.Net().Flops(),
-		ForwardProvider: func() func([]float32) []float32 { return p.Net().Forward },
+		ForwardProvider: p.net.Forward,
 	})
 }
 

@@ -56,7 +56,7 @@ func classModel(mix string) (batcher.ModelConfig, error) {
 			MaxBatch:     linnos.MaxBatch,
 			CPUPerItem:   linnos.Base.CPUInferCost(),
 			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
+			Forward:      net.ForwardInto,
 		}, nil
 	case "kml":
 		net := nn.New(5, kml.Sizes()...)
@@ -68,7 +68,7 @@ func classModel(mix string) (batcher.ModelConfig, error) {
 			CPUFixed:     2 * time.Microsecond,
 			CPUPerItem:   cpuCost(net.Flops()),
 			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
+			Forward:      net.ForwardInto,
 		}, nil
 	case "mllb":
 		net := nn.New(7, mllb.Sizes()...)
@@ -79,7 +79,7 @@ func classModel(mix string) (batcher.ModelConfig, error) {
 			CPUFixed:     2 * time.Microsecond,
 			CPUPerItem:   cpuCost(net.Flops()),
 			FlopsPerItem: net.Flops(),
-			Forward:      net.Forward,
+			Forward:      net.ForwardInto,
 		}, nil
 	case "malware":
 		// Timing-only: one query's distance matrix against the reference

@@ -18,7 +18,7 @@ func (b *Balancer) EnableBatching(bt *batcher.Batcher) error {
 		MaxBatch: MaxBatch,
 		CPUFixed: cpuFixed, CPUPerItem: cpuPerItem,
 		FlopsPerItem: b.net.Flops(),
-		Forward:      b.net.Forward,
+		Forward:      b.net.ForwardInto,
 	})
 }
 

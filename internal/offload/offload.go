@@ -18,6 +18,7 @@ import (
 	"lakego/internal/core"
 	"lakego/internal/cuda"
 	"lakego/internal/gpu"
+	"lakego/internal/nn"
 	"lakego/internal/policy"
 	"lakego/internal/shm"
 	"lakego/internal/telemetry"
@@ -44,20 +45,17 @@ type Config struct {
 	// freshly allocated because it is handed to the caller. May be nil for
 	// timing-only configurations (e.g. the large malware sweeps), in which
 	// case outputs are zero.
-	Forward ForwardFunc
+	Forward nn.ForwardFunc
 	// ForwardProvider, when non-nil, is resolved once per batch to obtain
 	// the forward function, overriding Forward. It is the model-lifecycle
-	// hot-swap hook: resolving per batch (instead of reading a mutable
-	// Forward per item) guarantees a batch never mixes model versions.
-	ForwardProvider func() ForwardFunc
+	// hot-swap hook (nn.Slot.Forward): resolving per batch (instead of
+	// reading a mutable Forward per item) guarantees a batch never mixes
+	// model versions.
+	ForwardProvider func() nn.ForwardFunc
 }
 
-// ForwardFunc computes one item's output; see Config.Forward for how
-// scratch is used.
-type ForwardFunc func(x []float32, scratch *[]float32) []float32
-
 // forward resolves the per-batch forward function (nil = timing-only).
-func (c Config) forward() ForwardFunc {
+func (c Config) forward() nn.ForwardFunc {
 	if c.ForwardProvider != nil {
 		return c.ForwardProvider()
 	}

@@ -1,9 +1,7 @@
 package remoting
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"lakego/internal/cuda"
 	"lakego/internal/flightrec"
@@ -52,79 +50,6 @@ const (
 	tracedBatchMagic = 0xB8
 )
 
-// MarshalBatch encodes a batch descriptor for transport in a Command blob.
-func MarshalBatch(bt *Batch) ([]byte, error) {
-	if len(bt.Entries) > maxBatchEntries {
-		return nil, fmt.Errorf("remoting: batch has %d entries, max %d", len(bt.Entries), maxBatchEntries)
-	}
-	traced := false
-	for _, e := range bt.Entries {
-		if e.TraceID != 0 {
-			traced = true
-			break
-		}
-	}
-	buf := make([]byte, 0, 1+2+36*len(bt.Entries))
-	if traced {
-		buf = append(buf, tracedBatchMagic)
-	} else {
-		buf = append(buf, batchMagic)
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(bt.Entries)))
-	for _, e := range bt.Entries {
-		buf = binary.LittleEndian.AppendUint64(buf, e.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, e.InOff)
-		buf = binary.LittleEndian.AppendUint64(buf, e.OutOff)
-		buf = binary.LittleEndian.AppendUint32(buf, e.Count)
-		if traced {
-			buf = binary.LittleEndian.AppendUint64(buf, e.TraceID)
-		}
-	}
-	return buf, nil
-}
-
-// UnmarshalBatch decodes a frame produced by MarshalBatch.
-func UnmarshalBatch(frame []byte) (*Batch, error) {
-	r := reader{buf: frame}
-	m, err := r.u8()
-	if err != nil || (m != batchMagic && m != tracedBatchMagic) {
-		return nil, ErrShortFrame
-	}
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxBatchEntries {
-		return nil, ErrShortFrame
-	}
-	entries := make([]BatchEntry, n)
-	for i := range entries {
-		if entries[i].Seq, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].InOff, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if entries[i].OutOff, err = r.u64(); err != nil {
-			return nil, err
-		}
-		c, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		entries[i].Count = c
-		if m == tracedBatchMagic {
-			if entries[i].TraceID, err = r.u64(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if r.pos != len(frame) {
-		return nil, ErrShortFrame
-	}
-	return &Batch{Entries: entries}, nil
-}
-
 // BatchSpec carries the device-side state a batched launch executes
 // against: the model's context, kernel handle, staging allocations and item
 // widths. The kernel side (internal/batcher) owns these handles; lakeD
@@ -158,16 +83,8 @@ func batchSpecFromArgs(args []uint64) (BatchSpec, bool) {
 // map with Success command result may still contain per-entry failures
 // (e.g. one request's shm range was invalid while the rest executed).
 func (l *Lib) CuBatchedInfer(model string, spec BatchSpec, entries []BatchEntry) (map[uint64]cuda.Result, cuda.Result) {
-	return l.CuBatchedInferTraced(model, spec, entries, 0)
-}
-
-// CuBatchedInferTraced is CuBatchedInfer under an externally assigned trace
-// ID: the batcher allocates one ID per flush so the remoted command (and
-// its daemon-side events and span stages) correlate with the flush span,
-// while the entries keep their member trace IDs.
-func (l *Lib) CuBatchedInferTraced(model string, spec BatchSpec, entries []BatchEntry, traceID uint64) (map[uint64]cuda.Result, cuda.Result) {
 	var sc BatchScratch
-	res, r := l.CuBatchedInferInto(model, spec, entries, traceID, &sc)
+	res, r := l.CuBatchedInferInto(model, spec, entries, 0, &sc)
 	if res == nil {
 		return nil, r
 	}

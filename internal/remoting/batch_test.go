@@ -60,6 +60,26 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTracedBatchWithoutTraceIDRejected: the encoder emits the traced
+// layout only when some entry carries a trace ID, so a traced payload whose
+// IDs are all zero has no canonical encoding and is rejected, like a traced
+// command frame with trace ID 0.
+func TestTracedBatchWithoutTraceIDRejected(t *testing.T) {
+	zero := appendLE(nil, byte(0xB8), uint16(1),
+		uint64(1), uint64(100), uint64(200), uint32(4), uint64(0))
+	if _, err := UnmarshalBatch(zero); err != ErrShortFrame {
+		t.Fatalf("traced batch without trace IDs: err = %v, want ErrShortFrame", err)
+	}
+	if _, err := UnmarshalBatch([]byte{0xB8, 0, 0}); err != ErrShortFrame {
+		t.Fatalf("empty traced batch: err = %v, want ErrShortFrame", err)
+	}
+	traced := appendLE(nil, byte(0xB8), uint16(1),
+		uint64(1), uint64(100), uint64(200), uint32(4), uint64(9))
+	if _, err := UnmarshalBatch(traced); err != nil {
+		t.Fatalf("traced batch with a trace ID rejected: %v", err)
+	}
+}
+
 // TestBatchedInferScatterGather drives APIBatchedInfer end to end: three
 // requests with distinct shm slices must come back demuxed by sequence with
 // each output scattered to its own slice, from a single kernel launch.

@@ -1,28 +1,31 @@
 package remoting
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 )
 
-// Zero-allocation codecs for the steady-state hot path. The Marshal*/
-// Unmarshal* functions in protocol.go allocate their outputs — correct, and
-// still the canonical codecs for cold paths and fuzzing — while the
-// Append*/Decode*Into variants here produce byte-identical wire frames into
-// caller-owned storage: Append* extends a reusable buffer, Decode*Into
-// reuses the destination's slice capacity. Once the buffers have warmed to
-// their steady-state sizes, a remoted call performs no heap allocation in
+// The wire codec: one encoder and one decoder per frame type (command,
+// response, batch). Append* extends a caller-owned buffer and Decode*Into
+// reuses the destination's slice capacity, so once the buffers have warmed
+// to their steady-state sizes a remoted call performs no heap allocation in
 // either codec direction (pinned by TestAllocs* and the CI allocgate job).
+// The Marshal*/Unmarshal* forms are thin wrappers for cold paths, tests and
+// fuzzing: Marshal* is Append*(nil, …) and Unmarshal* decodes into a fresh
+// value that shares no memory with the frame, so every fuzz target
+// exercises the codec the hot path runs.
 
-// AppendCommand appends c's wire frame — byte-identical to
-// MarshalCommand(c) — to dst and returns the extended slice.
+// AppendCommand appends c's wire frame to dst and returns the extended
+// slice.
 func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 	if len(c.Args) > maxArgs || len(c.Name) > maxName || len(c.Blob) > maxBlob {
 		return dst, fmt.Errorf("remoting: command exceeds wire limits (args=%d name=%d blob=%d)",
 			len(c.Args), len(c.Name), len(c.Blob))
 	}
+	dst = slices.Grow(dst, 1+4+8+8+2+8*len(c.Args)+2+len(c.Name)+4+len(c.Blob)+crcLen)
 	start := len(dst)
 	if c.TraceID != 0 {
 		dst = append(dst, cmdMagicTraced)
@@ -45,12 +48,16 @@ func AppendCommand(dst []byte, c *Command) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
 }
 
-// AppendResponse appends resp's wire frame — byte-identical to
-// MarshalResponse(resp) — to dst and returns the extended slice.
+// MarshalCommand encodes c into a fresh wire frame.
+func MarshalCommand(c *Command) ([]byte, error) { return AppendCommand(nil, c) }
+
+// AppendResponse appends resp's wire frame to dst and returns the extended
+// slice.
 func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if len(resp.Vals) > maxArgs || len(resp.Blob) > maxBlob {
 		return dst, fmt.Errorf("remoting: response exceeds wire limits")
 	}
+	dst = slices.Grow(dst, 1+8+4+2+8*len(resp.Vals)+4+len(resp.Blob)+crcLen)
 	start := len(dst)
 	dst = append(dst, respMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, resp.Seq)
@@ -64,6 +71,9 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
 }
 
+// MarshalResponse encodes resp into a fresh wire frame.
+func MarshalResponse(resp *Response) ([]byte, error) { return AppendResponse(nil, resp) }
+
 // maxInternedNames bounds lakeD's name intern table. The names crossing the
 // wire are a small fixed vocabulary — model names, kernel symbols, client
 // tags — so the table saturates within the first few calls per name; past
@@ -73,7 +83,8 @@ const maxInternedNames = 256
 
 // internName resolves b to a stable string through the intern table,
 // allocating only the first time a name is seen. The map lookup keyed by
-// string(b) does not allocate (the compiler elides the conversion).
+// string(b) does not allocate (the compiler elides the conversion). A nil
+// table interns nothing: every name is a fresh string.
 func internName(names map[string]string, b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -82,18 +93,19 @@ func internName(names map[string]string, b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(names) < maxInternedNames {
+	if names != nil && len(names) < maxInternedNames {
 		names[s] = s
 	}
 	return s
 }
 
-// DecodeCommandInto decodes frame into c, accepting exactly the frames
-// UnmarshalCommand accepts. c's Args capacity is reused; Name is resolved
-// through the names intern table; Blob ALIASES frame — valid only as long
-// as the frame view is, which for a ring-transport frame means until the
-// next RecvInUser. lakeD decodes and fully executes a command before its
-// next pump, so the alias never outlives the view.
+// DecodeCommandInto decodes frame into c. The frame's CRC trailer must
+// verify and every byte must be accounted for: a flipped bit anywhere is
+// rejected, never executed. c's Args capacity is reused; Name is resolved
+// through the names intern table (nil = no interning); Blob ALIASES frame —
+// valid only as long as the frame view is, which for a ring-transport frame
+// means until the next RecvInUser. lakeD decodes and fully executes a
+// command before its next pump, so the alias never outlives the view.
 func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error {
 	body, err := openFrame(frame)
 	if err != nil {
@@ -121,20 +133,9 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 			return ErrShortFrame // traced frames must carry a real ID
 		}
 	}
-	nargs, err := r.u16()
+	args, err := r.u64s(c.Args)
 	if err != nil {
 		return err
-	}
-	if nargs > maxArgs {
-		return ErrShortFrame
-	}
-	args := c.Args[:0]
-	for i := 0; i < nargs; i++ {
-		a, err := r.u64()
-		if err != nil {
-			return err
-		}
-		args = append(args, a)
 	}
 	nameLen, err := r.u16()
 	if err != nil {
@@ -143,26 +144,14 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 	if nameLen > maxName {
 		return ErrShortFrame
 	}
-	if err := r.need(nameLen); err != nil {
-		return err
-	}
-	nameBytes := r.buf[r.pos : r.pos+nameLen]
-	r.pos += nameLen
-	blobLen, err := r.u32()
+	name, err := r.take(nameLen)
 	if err != nil {
 		return err
 	}
-	if blobLen > maxBlob || blobLen > math.MaxInt32 {
-		return ErrShortFrame
-	}
-	if err := r.need(int(blobLen)); err != nil {
+	blob, err := r.blob()
+	if err != nil {
 		return err
 	}
-	var blob []byte
-	if blobLen > 0 {
-		blob = r.buf[r.pos : r.pos+int(blobLen)]
-	}
-	r.pos += int(blobLen)
 	if r.pos != len(body) {
 		return ErrShortFrame
 	}
@@ -170,16 +159,28 @@ func DecodeCommandInto(c *Command, names map[string]string, frame []byte) error 
 	c.Seq = seq
 	c.TraceID = traceID
 	c.Args = args
-	c.Name = internName(names, nameBytes)
+	c.Name = internName(names, name)
 	c.Blob = blob
 	return nil
 }
 
-// DecodeResponseInto decodes frame into resp, accepting exactly the frames
-// UnmarshalResponse accepts. resp's Vals and Blob capacities are reused;
-// the blob bytes are COPIED out of the frame (unlike DecodeCommandInto's
-// alias) because lakeLib's stubs read response payloads after the call
-// lock is released, by which time a borrowed ring view may be recycled.
+// UnmarshalCommand decodes a wire frame into a fresh Command that shares no
+// memory with frame.
+func UnmarshalCommand(frame []byte) (*Command, error) {
+	c := new(Command)
+	if err := DecodeCommandInto(c, nil, frame); err != nil {
+		return nil, err
+	}
+	c.Blob = bytes.Clone(c.Blob)
+	return c, nil
+}
+
+// DecodeResponseInto decodes frame into resp, verifying the CRC trailer and
+// exact framing like DecodeCommandInto. resp's Vals and Blob capacities are
+// reused; the blob bytes are COPIED out of the frame (unlike
+// DecodeCommandInto's alias) because lakeLib's stubs read response payloads
+// after the call lock is released, by which time a borrowed ring view may
+// be recycled.
 func DecodeResponseInto(resp *Response, frame []byte) error {
 	body, err := openFrame(frame)
 	if err != nil {
@@ -197,45 +198,35 @@ func DecodeResponseInto(resp *Response, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	nvals, err := r.u16()
+	vals, err := r.u64s(resp.Vals)
 	if err != nil {
 		return err
 	}
-	if nvals > maxArgs {
-		return ErrShortFrame
-	}
-	vals := resp.Vals[:0]
-	for i := 0; i < nvals; i++ {
-		v, err := r.u64()
-		if err != nil {
-			return err
-		}
-		vals = append(vals, v)
-	}
-	blobLen, err := r.u32()
+	blob, err := r.blob()
 	if err != nil {
 		return err
 	}
-	if blobLen > maxBlob || blobLen > math.MaxInt32 {
-		return ErrShortFrame
-	}
-	if err := r.need(int(blobLen)); err != nil {
-		return err
-	}
-	blob := append(resp.Blob[:0], r.buf[r.pos:r.pos+int(blobLen)]...)
-	r.pos += int(blobLen)
 	if r.pos != len(body) {
 		return ErrShortFrame
 	}
 	resp.Seq = seq
 	resp.Result = int32(res)
 	resp.Vals = vals
-	resp.Blob = blob
+	resp.Blob = append(resp.Blob[:0], blob...)
 	return nil
 }
 
-// AppendBatch appends bt's batch payload — byte-identical to
-// MarshalBatch(bt) — to dst and returns the extended slice.
+// UnmarshalResponse decodes a wire frame into a fresh Response.
+func UnmarshalResponse(frame []byte) (*Response, error) {
+	resp := new(Response)
+	if err := DecodeResponseInto(resp, frame); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// AppendBatch appends bt's batch payload to dst and returns the extended
+// slice. The payload travels in a command blob, which carries the CRC.
 func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 	if len(bt.Entries) > maxBatchEntries {
 		return dst, fmt.Errorf("remoting: batch has %d entries, max %d", len(bt.Entries), maxBatchEntries)
@@ -265,8 +256,13 @@ func AppendBatch(dst []byte, bt *Batch) ([]byte, error) {
 	return dst, nil
 }
 
+// MarshalBatch encodes a batch descriptor for transport in a Command blob.
+func MarshalBatch(bt *Batch) ([]byte, error) { return AppendBatch(nil, bt) }
+
 // UnmarshalBatchInto decodes frame into bt, reusing bt.Entries capacity.
-// Accepts exactly the frames UnmarshalBatch accepts.
+// Every byte must be accounted for, and a traced frame must carry at least
+// one trace ID: the encoder never emits tracedBatchMagic otherwise, so the
+// decoder rejects it rather than aliasing the untraced layout.
 func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	r := reader{buf: frame}
 	m, err := r.u8()
@@ -277,36 +273,40 @@ func UnmarshalBatchInto(bt *Batch, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	if n > maxBatchEntries {
+	size := 8 + 8 + 8 + 4
+	if m == tracedBatchMagic {
+		size += 8
+	}
+	if n > maxBatchEntries || r.need(n*size) != nil {
 		return ErrShortFrame
 	}
-	entries := bt.Entries[:0]
+	entries := slices.Grow(bt.Entries[:0], n)
+	traced := false
+	// The need check above covers every read in this loop, so none fails.
 	for i := 0; i < n; i++ {
 		var e BatchEntry
-		if e.Seq, err = r.u64(); err != nil {
-			return err
-		}
-		if e.InOff, err = r.u64(); err != nil {
-			return err
-		}
-		if e.OutOff, err = r.u64(); err != nil {
-			return err
-		}
-		c, err := r.u32()
-		if err != nil {
-			return err
-		}
-		e.Count = c
+		e.Seq, _ = r.u64()
+		e.InOff, _ = r.u64()
+		e.OutOff, _ = r.u64()
+		e.Count, _ = r.u32()
 		if m == tracedBatchMagic {
-			if e.TraceID, err = r.u64(); err != nil {
-				return err
-			}
+			e.TraceID, _ = r.u64()
+			traced = traced || e.TraceID != 0
 		}
 		entries = append(entries, e)
 	}
-	if r.pos != len(frame) {
+	if r.pos != len(frame) || (m == tracedBatchMagic && !traced) {
 		return ErrShortFrame
 	}
 	bt.Entries = entries
 	return nil
+}
+
+// UnmarshalBatch decodes a batch payload into a fresh Batch.
+func UnmarshalBatch(frame []byte) (*Batch, error) {
+	bt := new(Batch)
+	if err := UnmarshalBatchInto(bt, frame); err != nil {
+		return nil, err
+	}
+	return bt, nil
 }
