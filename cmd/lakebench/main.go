@@ -7,7 +7,8 @@
 //	lakebench -exp fig7        run one experiment
 //	lakebench -exp all         run everything (several minutes)
 //	lakebench -metrics         run an instrumented workload and dump its
-//	                           telemetry (Prometheus text + span timeline)
+//	                           telemetry (Prometheus text + the per-API stage
+//	                           breakdown stitched from the flight recorder)
 //	lakebench -results BENCH_RESULTS.json
 //	                           run the instrumented workload and write its
 //	                           deterministic virtual-time metrics in the
@@ -32,16 +33,15 @@ import (
 	"lakego/internal/flightrec"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
+	"lakego/internal/remoting"
 )
 
-// bootInstrumented boots a runtime with tracing armed and drives the
-// deterministic demo workload through it: 32 remoted
-// copy-launch-copy rounds over the built-in vector-add kernel. Every cost
-// in the run is virtual-clock modeled, so repeated runs produce identical
-// numbers.
+// bootInstrumented boots a runtime and drives the deterministic demo
+// workload through it: 32 remoted copy-launch-copy rounds over the built-in
+// vector-add kernel. Every cost in the run is virtual-clock modeled, so
+// repeated runs produce identical numbers.
 func bootInstrumented(devices int, poolPolicy lake.PoolPolicy) (*lake.Runtime, error) {
 	cfg := lake.DefaultConfig()
-	cfg.TraceCalls = true
 	cfg.NumDevices = devices
 	cfg.PoolPolicy = poolPolicy
 	rt, err := lake.New(cfg)
@@ -110,7 +110,6 @@ func driveWorkload(rt *lake.Runtime) error {
 // identical run over run under any routing policy.
 func bootFleet(shards int, routerPolicy lake.PoolPolicy) (*lake.Fleet, error) {
 	cfg := lake.DefaultConfig()
-	cfg.TraceCalls = true
 	cfg.NumShards = shards
 	cfg.RouterPolicy = routerPolicy
 	bcfg := lake.DefaultBatcherConfig()
@@ -147,9 +146,10 @@ func bootFleet(shards int, routerPolicy lake.PoolPolicy) (*lake.Fleet, error) {
 }
 
 // runMetricsDemo prints the instrumented workload's Prometheus exposition
-// followed by the traced span timeline — the CLI face of the observability
-// plane. With devices > 1 the runtime boots a multi-GPU pool and the
-// exposition carries per-device labeled series.
+// followed by its Fig 5/6 per-API stage breakdown, stitched from the flight
+// recorder — the CLI face of the observability plane. With devices > 1 the
+// runtime boots a multi-GPU pool and the exposition carries per-device
+// labeled series.
 func runMetricsDemo(devices int, poolPolicy lake.PoolPolicy, shards int, routerPolicy lake.PoolPolicy) error {
 	if shards > 1 {
 		f, err := bootFleet(shards, routerPolicy)
@@ -165,14 +165,10 @@ func runMetricsDemo(devices int, poolPolicy lake.PoolPolicy, shards int, routerP
 		return err
 	}
 	defer rt.Close()
-	tel := rt.Telemetry()
-	fmt.Print(tel.PrometheusText())
-	fmt.Println("--- span timeline (last traced calls) ---")
-	b, err := tel.Tracer().TimelineJSON()
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(b))
+	fmt.Print(rt.Telemetry().PrometheusText())
+	fmt.Println("--- stage breakdown (stitched from the flight recorder) ---")
+	stitch := lake.StitchFlightDump(rt.FlightRecorder().Snapshot("lakebench-metrics"))
+	fmt.Print(flightrec.BreakdownTable(stitch.Timelines, func(id uint64) string { return remoting.APIID(id).String() }))
 	return nil
 }
 

@@ -7,7 +7,6 @@
 //
 // With -telemetry-addr the daemon also serves its observability plane over
 // HTTP: /metrics (Prometheus text), /metrics.json (structured snapshot),
-// /spans.json (per-call trace timelines, populated when -trace is set),
 // /debug/pprof, and the live health plane — /healthz, /readyz, /statusz,
 // /slo.json (rolling burn-rate/percentile state), /incidents.json
 // (anomaly-triggered black-box bundles), /flightrec.tail?cursor= (live
@@ -62,15 +61,6 @@ func serveTelemetry(rt *lake.Runtime, addr string) {
 		}
 		_, _ = w.Write(b)
 	})
-	http.HandleFunc("/spans.json", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		b, err := tel.Tracer().TimelineJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		_, _ = w.Write(b)
-	})
 	// The health plane serves the rest: /healthz, /readyz, /statusz,
 	// /slo.json, /incidents.json, /flightrec.tail, /flightrec.{dump,json}
 	// (on-demand snapshots; ?last=1 for the retained automatic dump) and
@@ -85,7 +75,7 @@ func serveTelemetry(rt *lake.Runtime, addr string) {
 			log.Fatalf("telemetry endpoint: %v", err)
 		}
 	}()
-	log.Printf("telemetry on http://%s/metrics (.json, /spans.json, /debug/pprof) + health plane (/healthz /readyz /statusz /slo.json /incidents.json /flightrec.tail /flightrec.{dump,json} /models.json)", addr)
+	log.Printf("telemetry on http://%s/metrics (.json, /debug/pprof) + health plane (/healthz /readyz /statusz /slo.json /incidents.json /flightrec.tail /flightrec.{dump,json} /models.json)", addr)
 }
 
 // runLifecycleDemo is the -online-train path: boot the LinnOS latency
@@ -259,9 +249,8 @@ func main() {
 	calls := flag.Int("calls", 1000, "number of remoted vector-add rounds to serve")
 	n := flag.Int("n", 256, "vector length per round")
 	channel := flag.String("channel", "netlink", "command channel: netlink, signal, devrw, mmap")
-	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /spans.json and /debug/pprof on this address (e.g. :9090)")
+	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /metrics.json, /debug/pprof and the health plane on this address (e.g. :9090)")
 	noTelemetry := flag.Bool("no-telemetry", false, "boot the runtime without the observability plane")
-	traceCalls := flag.Bool("trace", false, "record per-call span timelines (see /spans.json)")
 	serve := flag.Bool("serve", false, "after the demo burst, keep serving the telemetry endpoints until interrupted")
 	devices := flag.Int("devices", 1, "number of modeled GPUs in the device pool")
 	poolPolicy := flag.String("pool-policy", "contention-aware", "context placement policy: round-robin, least-outstanding, contention-aware")
@@ -295,7 +284,6 @@ func main() {
 		log.Fatalf("unknown channel %q", *channel)
 	}
 	cfg.DisableTelemetry = *noTelemetry
-	cfg.TraceCalls = *traceCalls
 	if *shards > 1 {
 		rp, err := lake.ParsePoolPolicy(*routerPolicy)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 func produceDump(t *testing.T) *lake.FlightDump {
 	t.Helper()
 	cfg := lake.DefaultConfig()
-	cfg.TraceCalls = true
 	rt, err := lake.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,6 @@ func TestLaketraceRejectsGarbage(t *testing.T) {
 func produceFleetDump(t *testing.T) *lake.FlightDump {
 	t.Helper()
 	rcfg := lake.DefaultConfig()
-	rcfg.TraceCalls = true
 	rcfg.NumShards = 2
 	rcfg.RouterPolicy = lake.PoolRoundRobin
 	bcfg := lake.DefaultBatcherConfig()

@@ -1,14 +1,13 @@
 // Flight-recorder acceptance: a fault-ridden chaos run must leave behind a
 // dump from which laketrace's stitcher reconstructs essentially every
 // completed remoted call as a complete cross-domain timeline, agreeing with
-// the span tracer's independent account of the same calls; and disabling
+// lakeLib's independent accounting of the same calls; and disabling
 // the recorder must reproduce the untraced wire byte-for-byte (asserted
 // here via the modeled per-byte channel costs, and at the frame level by
 // internal/remoting's wire-shape tests).
 package lake_test
 
 import (
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -19,14 +18,12 @@ import (
 	"lakego/internal/nn"
 )
 
-// newTracedChaosStack is newChaosStack with the observability plane fully
-// armed: span tracing on and a flight-recorder ring large enough that the
-// run loses no events.
+// newTracedChaosStack is newChaosStack with a flight-recorder ring large
+// enough that the run loses no events.
 func newTracedChaosStack(t *testing.T, mix *lake.FaultMix) *chaosStack {
 	t.Helper()
 	cfg := lake.DefaultConfig()
 	cfg.Faults = mix
-	cfg.TraceCalls = true
 	cfg.FlightRecorderSize = 1 << 16
 	rt, err := lake.New(cfg)
 	if err != nil {
@@ -49,20 +46,6 @@ func newTracedChaosStack(t *testing.T, mix *lake.FaultMix) *chaosStack {
 	return &chaosStack{rt: rt, lin: lin, km: km, ml: ml}
 }
 
-// tracedSpan mirrors the tracer's TimelineJSON shape.
-type tracedSpan struct {
-	Name    string        `json:"name"`
-	Seq     uint64        `json:"seq"`
-	TraceID uint64        `json:"trace_id"`
-	VStart  time.Duration `json:"v_start_ns"`
-	VEnd    time.Duration `json:"v_end_ns"`
-	Stages  []struct {
-		Stage  string        `json:"stage"`
-		VStart time.Duration `json:"v_start_ns"`
-		VEnd   time.Duration `json:"v_end_ns"`
-	} `json:"stages"`
-}
-
 func within1pct(a, b time.Duration) bool {
 	d := a - b
 	if d < 0 {
@@ -78,8 +61,8 @@ func within1pct(a, b time.Duration) bool {
 // TestFlightRecorderChaosReconstruction runs the chaos sweep's harshest mix
 // with the recorder armed and holds the stitcher to the acceptance bar:
 // nothing dropped, ≥99% of completed calls rebuilt with the full
-// client→daemon→client chain, and timeline totals/boundary stages agreeing
-// with the span tracer to within 1%.
+// client→daemon→client chain, and the stitched call count, call time and
+// boundary time agreeing with lakeLib's own counters to within 1%.
 func TestFlightRecorderChaosReconstruction(t *testing.T) {
 	mix := &lake.FaultMix{
 		Drop: 0.05, Corrupt: 0.01, Duplicate: 0.02,
@@ -120,52 +103,32 @@ func TestFlightRecorderChaosReconstruction(t *testing.T) {
 		t.Fatalf("only %d of %d completed calls fully reconstructed (< 99%%)", res.Complete, res.Completed)
 	}
 
-	// Cross-check against the span tracer's independent record of the same
-	// calls (the done-ring holds the last 64): per-call totals and the
-	// boundary/channel stage must agree within 1%.
-	raw, err := s.rt.Telemetry().Tracer().TimelineJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []tracedSpan
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		t.Fatal(err)
-	}
-	byTID := make(map[uint64]lake.FlightTimeline, len(res.Timelines))
+	// Cross-check every stitched call against lakeLib's own accounting,
+	// which does not read the recorder: the completed-call count, the
+	// summed call latency and the summed channel cost must agree within 1%.
+	var total, boundary time.Duration
 	for _, tl := range res.Timelines {
-		byTID[tl.TraceID] = tl
-	}
-	matched := 0
-	for _, sp := range spans {
-		tl, ok := byTID[sp.TraceID]
-		if !ok || !tl.Complete {
-			continue
-		}
-		matched++
-		if spanTotal := sp.VEnd - sp.VStart; !within1pct(tl.Total(), spanTotal) {
-			t.Fatalf("trace %d (%s): timeline total %v vs span total %v",
-				sp.TraceID, sp.Name, tl.Total(), spanTotal)
-		}
-		var channel time.Duration
-		for _, st := range sp.Stages {
-			if st.Stage == "channel" {
-				channel += st.VEnd - st.VStart
-			}
-		}
-		if channel > 0 && !within1pct(tl.Boundary, channel) {
-			t.Fatalf("trace %d (%s): timeline boundary %v vs span channel %v",
-				sp.TraceID, sp.Name, tl.Boundary, channel)
+		if tl.Completed {
+			total += tl.Total()
+			boundary += tl.Boundary
 		}
 	}
-	if matched == 0 {
-		t.Fatal("no tracer spans matched stitched timelines")
+	snap := s.rt.Telemetry().Snapshot()
+	if calls := snap.Counters["lake_lib_calls_total"]; int64(res.Completed) != calls {
+		t.Fatalf("stitched %d completed calls, lakeLib counted %d", res.Completed, calls)
 	}
-	t.Logf("stitched %d calls (%d completed, %d complete), %d span cross-checks, %d events",
-		len(res.Timelines), res.Completed, res.Complete, matched, dump.TotalEvents())
+	if latency := time.Duration(snap.Histograms["lake_lib_call_latency_ns"].Sum); !within1pct(total, latency) {
+		t.Fatalf("stitched call time %v vs lakeLib call latency sum %v", total, latency)
+	}
+	if channel := s.rt.Stats().ChannelTime; !within1pct(boundary, channel) {
+		t.Fatalf("stitched boundary %v vs lakeLib channel time %v", boundary, channel)
+	}
+	t.Logf("stitched %d calls (%d completed, %d complete), %d events; call time %v, boundary %v",
+		len(res.Timelines), res.Completed, res.Complete, dump.TotalEvents(), total, boundary)
 }
 
 // TestFlightRecorderDisabledMatchesUntraced pins the opt-out: with the
-// recorder disabled (tracer off too), no trace IDs are assigned, so the
+// recorder disabled, no trace IDs are assigned, so the
 // wire carries the original untraced frames — the modeled channel costs,
 // which are a pure function of bytes crossing the boundary, match a
 // telemetry-free runtime exactly.

@@ -172,8 +172,14 @@ type Stats struct {
 	// are included in GPUFlushes (the policy's routing decision).
 	FallbackFlushes int64
 	// MaxQueueDelay is the largest virtual-time gap observed between a
-	// request's enqueue and its batch's flush instant.
+	// request's enqueue and its batch's formation: the oldest request's
+	// deadline for a deadline flush, the filling request's enqueue for a
+	// full flush. It never exceeds MaxWait.
 	MaxQueueDelay time.Duration
+	// MaxStreamWait is the largest virtual-time gap between a batch's
+	// formation and its flush: the time a formed batch waited for the
+	// model's staging stream while an earlier flush of the model ran.
+	MaxStreamWait time.Duration
 }
 
 // AvgBatch returns the mean flushed batch size in items.
@@ -197,7 +203,7 @@ type Batcher struct {
 	flushes, gpuFlushes, cpuFlushes atomic.Int64
 	fullFlushes, deadlineFlushes    atomic.Int64
 	fallbackFlushes                 atomic.Int64
-	maxDelay                        atomic.Int64
+	maxDelay, maxStreamWait         atomic.Int64
 
 	tel Telemetry
 
@@ -214,16 +220,18 @@ type Telemetry struct {
 	FlushItems *telemetry.Histogram
 	// Rejects counts backpressured submissions.
 	Rejects *telemetry.Counter
-	// QueueDelay observes each request's enqueue-to-flush virtual wait.
+	// QueueDelay observes each request's enqueue-to-formation virtual
+	// wait.
 	QueueDelay *telemetry.Histogram
+	// StreamWait observes each flush's formation-to-flush virtual wait
+	// behind the model's previous flush.
+	StreamWait *telemetry.Histogram
 	// GPUItemLatency / CPUItemLatency observe per-item execution latency
 	// of each flush on its decided path. They are the shared series
 	// (telemetry.MetricGPUItemLatency / MetricCPUItemLatency) the Fig 3
 	// policy's observed-latency mode reads.
 	GPUItemLatency *telemetry.Histogram
 	CPUItemLatency *telemetry.Histogram
-	// Tracer opens a flush span (coalesce stage) around each execution.
-	Tracer *telemetry.Tracer
 }
 
 // SetTelemetry attaches instruments. Must be called during runtime
@@ -266,6 +274,7 @@ func (b *Batcher) Stats() Stats {
 		DeadlineFlushes: b.deadlineFlushes.Load(),
 		FallbackFlushes: b.fallbackFlushes.Load(),
 		MaxQueueDelay:   time.Duration(b.maxDelay.Load()),
+		MaxStreamWait:   time.Duration(b.maxStreamWait.Load()),
 	}
 }
 
@@ -516,7 +525,7 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 	b.requests.Add(1)
 	b.items.Add(int64(p.count))
 
-	if b.rec.Enabled() || b.tel.Tracer.Enabled() {
+	if b.rec.Enabled() {
 		p.tid = b.rec.NextTraceID()
 	}
 
@@ -531,23 +540,28 @@ func (c *Client) Submit(modelName string, items [][]float32) (*Pending, error) {
 		p.tid, p.seq, 0, uint64(p.count), 0, 0)
 
 	var batch []*Pending
+	var formedAt time.Duration
 	reason := flushFull
-	switch {
-	case m.queuedItems >= b.cfg.MaxBatch:
-		batch = m.takeLocked()
-		if m.fullSig != nil {
-			close(m.fullSig) // wake a lingering leader; it will find its request taken
-			m.fullSig = nil
+	full := m.queuedItems >= b.cfg.MaxBatch
+	overdue := p.enq >= m.queue[0].enq+b.cfg.MaxWait
+	if full || overdue {
+		formedAt = p.enq
+		if overdue {
+			// Another model's activity pushed the clock past our oldest
+			// deadline while no waiter was driving; honor it now. The
+			// max-wait timer would have formed this batch at the deadline,
+			// even if it has filled since.
+			formedAt, reason = m.queue[0].enq+b.cfg.MaxWait, flushDeadline
 		}
-	case m.queuedItems > 0 && p.enq >= m.queue[0].enq+b.cfg.MaxWait:
-		// Another model's activity pushed the clock past our oldest
-		// deadline while no waiter was driving; honor it now.
 		batch = m.takeLocked()
-		reason = flushDeadline
+	}
+	if full && m.fullSig != nil {
+		close(m.fullSig) // wake a lingering leader; it will find its request taken
+		m.fullSig = nil
 	}
 	m.mu.Unlock()
 	if batch != nil {
-		b.execute(m, batch, reason)
+		b.execute(m, batch, reason, formedAt)
 	}
 	return p, nil
 }

@@ -109,6 +109,82 @@ func TestDeadlineFlush(t *testing.T) {
 	}
 }
 
+// TestDeadlineFlushBehindRunningFlush: a deadline batch formed while an
+// earlier flush of the same model holds its staging stream flushes only
+// after that flush's GPU time, which lies past the deadline. Its queue
+// delay still ends at the deadline; the rest is stream wait.
+func TestDeadlineFlushBehindRunningFlush(t *testing.T) {
+	rt := newRT(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls sync.Mutex
+	first := true
+	cfg := batcher.DefaultConfig()
+	cfg.Linger = 0
+	cfg.MaxBatch = 2
+	// The policy runs inside execute with the stream held and before any
+	// GPU time is charged: holding the first flush there lets the second
+	// batch form while the first has yet to run.
+	cfg.Policy = func(int) policy.Decision {
+		calls.Lock()
+		hold := first
+		first = false
+		calls.Unlock()
+		if hold {
+			close(entered)
+			<-release
+		}
+		return policy.UseGPU
+	}
+	b := rt.NewBatcher(cfg)
+	mc := modelCfg("testmodel")
+	mc.FlopsPerItem = 1e10 // each flush costs far more GPU time than MaxWait
+	if err := b.RegisterModel(mc); err != nil {
+		t.Fatal(err)
+	}
+
+	fullDone := make(chan error, 1)
+	go func() {
+		_, err := b.Client("full").Infer("testmodel", [][]float32{item(0), item(1)})
+		fullDone <- err
+	}()
+	<-entered
+	p, err := b.Client("lone").Submit("testmodel", [][]float32{item(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loneDone := make(chan error, 1)
+	go func() {
+		_, err := p.Wait()
+		loneDone <- err
+	}()
+	// Release the first flush once the lone request's batch has formed.
+	depth := rt.Telemetry().Gauge("lake_batcher_queue_depth", "")
+	for deadline := time.Now().Add(5 * time.Second); depth.Value() != 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(release)
+	if err := <-fullDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-loneDone; err != nil {
+		t.Fatal(err)
+	}
+
+	st := b.Stats()
+	if st.FullFlushes != 1 || st.DeadlineFlushes != 1 {
+		t.Fatalf("flushes = %+v, want one full and one deadline flush", st)
+	}
+	if st.MaxQueueDelay != cfg.MaxWait {
+		t.Fatalf("queue delay = %v, want exactly MaxWait %v", st.MaxQueueDelay, cfg.MaxWait)
+	}
+	if st.MaxStreamWait <= 0 {
+		t.Fatalf("stream wait = %v, want > 0 behind the running flush", st.MaxStreamWait)
+	}
+	if lat := p.Latency(); lat <= cfg.MaxWait+st.MaxStreamWait {
+		t.Fatalf("latency %v does not include the stream wait %v past MaxWait", lat, st.MaxStreamWait)
+	}
+}
+
 // TestFullFlush: filling the queue to MaxBatch flushes inline from Submit,
 // before any Wait, and ahead of the deadline.
 func TestFullFlush(t *testing.T) {

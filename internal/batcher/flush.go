@@ -1,13 +1,13 @@
 package batcher
 
 import (
+	"sync/atomic"
 	"time"
 
 	"lakego/internal/cuda"
 	"lakego/internal/flightrec"
 	"lakego/internal/policy"
 	"lakego/internal/remoting"
-	"lakego/internal/telemetry"
 )
 
 // flushReason tags why a batch was formed.
@@ -89,7 +89,7 @@ func (p *Pending) Wait() ([][]float32, error) {
 		}
 		m.mu.Unlock()
 		if batch != nil {
-			b.execute(m, batch, flushDeadline)
+			b.execute(m, batch, flushDeadline, batch[0].enq+b.cfg.MaxWait)
 		}
 		// Loop: either our request was in that batch (delivered) or it is
 		// still queued behind staging capacity and we lead another round.
@@ -97,9 +97,14 @@ func (p *Pending) Wait() ([][]float32, error) {
 }
 
 // execute runs one formed batch to completion and delivers every request.
-// Flushes of the same model are serialized: there is one device staging
-// area per model, like one CUDA stream per lakeD model context.
-func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
+// formedAt is the virtual instant the batch was formed: the oldest
+// request's deadline for a deadline flush, the filling request's enqueue
+// for a full flush. Flushes of the same model are serialized: there is one
+// device staging area per model, like one CUDA stream per lakeD model
+// context. A batch formed while an earlier flush holds the stream waits for
+// it; that wait is the batch's stream wait, reported apart from its queue
+// delay, which ends at formation.
+func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason, formedAt time.Duration) {
 	m.execMu.Lock()
 	defer m.execMu.Unlock()
 
@@ -108,43 +113,34 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
 		// The max-wait timer fires at the oldest request's deadline; on
 		// the virtual clock the flush happens at exactly that instant
 		// (no-op if the clock is already past it).
-		clock.AdvanceTo(batch[0].enq + b.cfg.MaxWait)
+		clock.AdvanceTo(formedAt)
 	}
 	flushAt := clock.Now()
 	items := 0
 	for _, p := range batch {
 		items += p.count
-		d := int64(flushAt - p.enq)
-		for cur := b.maxDelay.Load(); d > cur; cur = b.maxDelay.Load() {
-			if b.maxDelay.CompareAndSwap(cur, d) {
-				break
-			}
-		}
+		// A request that arrived after its batch's deadline (and so
+		// triggered the overdue flush from Submit) waited for nothing.
+		d := max(int64(formedAt-p.enq), 0)
+		storeMax(&b.maxDelay, d)
 		b.tel.QueueDelay.Observe(d)
 	}
+	streamWait := int64(flushAt - formedAt)
+	storeMax(&b.maxStreamWait, streamWait)
+	b.tel.StreamWait.Observe(streamWait)
 	b.tel.FlushItems.Observe(int64(items))
-	// One trace ID per flush: the remoted command, its daemon-side events,
-	// and the flush span all correlate under it, while each member request
-	// keeps its own ID (linked by flush_member events on both sides).
+	// One trace ID per flush: the remoted command and its daemon-side
+	// events correlate under it, while each member request keeps its own
+	// ID (linked by flush_member events on both sides).
 	var ftid uint64
-	if b.rec.Enabled() || b.tel.Tracer.Enabled() {
+	if b.rec.Enabled() {
 		ftid = b.rec.NextTraceID()
 	}
 	b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushStart,
-		ftid, batch[0].seq, 0, uint64(len(batch)), uint64(reason), 0)
+		ftid, batch[0].seq, 0, uint64(len(batch)), uint64(reason), uint64(streamWait))
 	for _, p := range batch {
 		b.rec.Emit(flightrec.DomainBatcher, flightrec.EvFlushMember,
 			p.tid, p.seq, 0, ftid, uint64(p.count), 0)
-	}
-	var flushSpan *telemetry.Span
-	var ownSpan bool
-	if b.tel.Tracer.Enabled() {
-		// The flush span opens at the oldest request's enqueue: the
-		// coalesce stage is the window spent forming the batch, and the
-		// nested CuBatchedInfer call below attaches its marshal / channel /
-		// dispatch / launch / demux stages to this same span.
-		flushSpan, ownSpan = b.tel.Tracer.StartSpan("flush/"+m.mc.Name, batch[0].seq, batch[0].enq, ftid)
-		flushSpan.AddStage("coalesce", batch[0].enq, flushAt, 0)
 	}
 	b.flushes.Add(1)
 	if reason == flushFull {
@@ -208,9 +204,6 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
 	}
 
 	now := clock.Now()
-	if ownSpan {
-		b.tel.Tracer.FinishSpan(flushSpan, now)
-	}
 	var onGPU uint64
 	if ranOnGPU {
 		onGPU = 1
@@ -246,6 +239,15 @@ func (b *Batcher) execute(m *model, batch []*Pending, reason flushReason) {
 		region.Free(p.outBuf)
 		p.c.outstanding.Add(-1)
 		close(p.done)
+	}
+}
+
+// storeMax raises a to v if v is larger.
+func storeMax(a *atomic.Int64, v int64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 

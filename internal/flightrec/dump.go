@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -142,6 +143,9 @@ func decodeBinary(data []byte) (*Dump, error) {
 		if err != nil {
 			return nil, err
 		}
+		if dom > math.MaxUint8 {
+			return nil, fmt.Errorf("flightrec: domain id %d out of range", dom)
+		}
 		dd.Domain = Domain(dom)
 		dd.Name = dd.Domain.String()
 		if dd.Dropped, err = r.u64(); err != nil {
@@ -161,6 +165,9 @@ func decodeBinary(data []byte) (*Dump, error) {
 				if w[k], err = r.u64(); err != nil {
 					return nil, err
 				}
+			}
+			if w[4]&unusedBits != 0 {
+				return nil, fmt.Errorf("flightrec: event %d of domain %d sets unused bits %#x", j, dom, w[4]&unusedBits)
 			}
 			dd.Events[j] = unpackEvent(w)
 		}

@@ -77,7 +77,7 @@ const (
 	EvCrash              // daemon: armed crash fired; a0=crash point
 	EvRestart            // daemon: daemon restarted; a0=new generation
 	EvEnqueue            // batcher: request queued; a0=item count
-	EvFlushStart         // batcher: flush begins; a0=batched requests, a1=reason (0 full, 1 deadline, 2 linger)
+	EvFlushStart         // batcher: flush begins; a0=batched requests, a1=reason (0 full, 1 deadline), a2=stream wait (virtual ns from formation to flush)
 	EvFlushMember        // batcher/daemon: member request rode a flush; a0=flush trace ID
 	EvFlushEnd           // batcher: flush done; a0=batched requests, a1=1 if GPU path, 0 if CPU fallback
 	EvPlace              // gpu: pool placement decision; a0=policy, a1=1 for a flush placement
@@ -136,7 +136,7 @@ type Event struct {
 // pack squeezes kind/shard/domain/device into one word: kind in bits 32-47,
 // shard in the previously unused bits 48-63, domain in 16-23, device in
 // 0-15. Pre-fleet dumps decode with Shard 0, so the binary format needs no
-// version bump.
+// version bump. Bits 24-31 (unusedBits) are always zero.
 func (e Event) pack() [eventWords]uint64 {
 	return [eventWords]uint64{
 		uint64(e.VTime),
@@ -149,6 +149,10 @@ func (e Event) pack() [eventWords]uint64 {
 		e.Arg2,
 	}
 }
+
+// unusedBits are the bits of the packed kind/shard/domain/device word that
+// no field occupies; a dump that sets them was not written by pack.
+const unusedBits = 0xff << 24
 
 func unpackEvent(w [eventWords]uint64) Event {
 	return Event{
@@ -293,10 +297,9 @@ func (r *Recorder) Enabled() bool {
 }
 
 // NextTraceID allocates a fresh nonzero trace ID. Valid (and deterministic)
-// even while recording is disabled, so span tracing can key off trace IDs
-// without the recorder. Shard views draw from the root's allocator, keeping
-// IDs unique across a fleet. Returns 0 on nil — the "untraced" sentinel
-// that keeps the wire in its old byte-identical shape.
+// even while recording is disabled. Shard views draw from the root's
+// allocator, keeping IDs unique across a fleet. Returns 0 on nil — the
+// "untraced" sentinel that keeps the wire in its old byte-identical shape.
 func (r *Recorder) NextTraceID() uint64 {
 	if r == nil {
 		return 0

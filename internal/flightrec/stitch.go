@@ -11,7 +11,8 @@ import (
 
 // Timeline is one remoted call stitched back together across domains from
 // its trace ID: client serialize → boundary crossing → daemon queue → exec
-// → copy → response. Virtual durations unless noted.
+// → copy → response. A batcher flush's call also carries the two stages
+// before it: coalesce and stream wait. Virtual durations unless noted.
 type Timeline struct {
 	TraceID uint64
 	Seq     uint64
@@ -40,6 +41,10 @@ type Timeline struct {
 	Copy      time.Duration // transfer time charged inside the execution window
 	Boundary  time.Duration // modeled channel round-trip cost
 	Other     time.Duration // remainder: backoff, restart cost, response handling
+
+	// Batcher flushes only, both before Start and so outside Total.
+	Coalesce   time.Duration // oldest member's enqueue until the batch was formed
+	StreamWait time.Duration // formed batch waiting for the model's previous flush
 
 	Completed bool // the client observed a response (EvCallEnd present)
 	Complete  bool // every cross-domain link was recovered
@@ -79,12 +84,13 @@ var chain = []struct {
 // cross-domain timelines.
 func Stitch(d *Dump) *StitchResult {
 	byTID := make(map[uint64][]Event)
-	// Router events ride member-request trace IDs (the fleet routes
-	// requests, the batcher flushes them under a fresh flush ID), so the
-	// flush_member link re-homes each route hop onto the remoted call it
-	// coalesced into — the stitched timeline then shows the hop.
+	// Router and enqueue events ride member-request trace IDs (the fleet
+	// routes requests, the batcher queues them and flushes them under a
+	// fresh flush ID), so the flush_member link re-homes each route hop and
+	// enqueue onto the remoted call it coalesced into — the stitched
+	// timeline then shows the hop and the coalesce window.
 	flushOf := make(map[uint64]uint64)
-	var routes []Event
+	var members []Event
 	for _, dd := range d.Domains {
 		for _, e := range dd.Events {
 			if e.TraceID == 0 {
@@ -96,12 +102,12 @@ func Stitch(d *Dump) *StitchResult {
 				if e.Arg0 != 0 {
 					flushOf[e.TraceID] = e.Arg0
 				}
-			case EvRoute:
-				routes = append(routes, e)
+			case EvRoute, EvEnqueue:
+				members = append(members, e)
 			}
 		}
 	}
-	for _, e := range routes {
+	for _, e := range members {
 		if ftid, ok := flushOf[e.TraceID]; ok && ftid != e.TraceID {
 			byTID[ftid] = append(byTID[ftid], e)
 		}
@@ -135,6 +141,7 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 	have := make(map[Kind]bool, len(evs))
 	const unset = time.Duration(-1 << 62)
 	start, end, dispatchAt, execStartV, execEndV := unset, unset, unset, unset, unset
+	oldestEnq, formedAt := unset, unset
 	for _, e := range evs {
 		have[e.Kind] = true
 		switch e.Kind {
@@ -174,6 +181,13 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 		case EvExec, EvLaunch:
 			tl.Device = int(e.Device)
 			tl.Shard = int(e.Shard)
+		case EvEnqueue:
+			if oldestEnq == unset || e.VTime < oldestEnq {
+				oldestEnq = e.VTime
+			}
+		case EvFlushStart:
+			tl.StreamWait = time.Duration(e.Arg2)
+			formedAt = e.VTime - tl.StreamWait
 		case EvRoute:
 			tl.Routes++
 			if e.Arg1 == 1 {
@@ -192,6 +206,9 @@ func stitchOne(tid uint64, evs []Event) (Timeline, bool) {
 		tl.End = end
 	} else {
 		tl.End = start
+	}
+	if oldestEnq != unset && formedAt != unset && formedAt > oldestEnq {
+		tl.Coalesce = formedAt - oldestEnq
 	}
 	if dispatchAt != unset && dispatchAt > start {
 		tl.Queue = dispatchAt - start

@@ -28,23 +28,6 @@ func (d Decision) String() string {
 // "automatically by the kernel during the application's execution".
 type Func func(batchSize int) Decision
 
-// HealthGated wraps a policy so offload is only considered while the
-// accelerator service is healthy: when healthy() reports false every
-// decision is UseCPU without consulting inner — whose utilization query
-// would itself be a doomed remoted call against a dead lakeD. A nil inner
-// permits the GPU whenever healthy.
-func HealthGated(inner Func, healthy func() bool) Func {
-	return func(batchSize int) Decision {
-		if healthy != nil && !healthy() {
-			return UseCPU
-		}
-		if inner == nil {
-			return UseGPU
-		}
-		return inner(batchSize)
-	}
-}
-
 // MovingAverage is the windowed moving average Fig 3's policy applies to
 // GPU utilization samples. The zero value is unusable; construct with
 // NewMovingAverage. Safe for concurrent use.

@@ -243,10 +243,8 @@ func (d *Daemon) batchedInfer(cmd *Command, resp *Response) {
 		}
 		d.api.ChargeTransferFor(spec.DevIn, int64(cursor))
 
-		lt := d.tel.Tracer.Open(cmd.TraceID).StageTimer("launch", d.tr.Clock().Now())
 		sc.launchArgs = [3]uint64{uint64(spec.DevIn), uint64(spec.DevOut), uint64(items)}
 		launch := d.api.LaunchKernel(spec.Ctx, spec.Fn, sc.launchArgs[:])
-		lt.End(d.tr.Clock().Now())
 		if launch != cuda.Success {
 			for _, i := range admitted {
 				perRes[i] = launch

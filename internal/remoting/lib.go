@@ -130,8 +130,6 @@ type LibTelemetry struct {
 	Recoveries       *telemetry.Counter
 	DeadlineExceeded *telemetry.Counter
 	DaemonDead       *telemetry.Counter
-	// Tracer produces per-call spans when enabled.
-	Tracer *telemetry.Tracer
 }
 
 // SetTelemetry attaches instruments. Must be called during runtime
@@ -236,11 +234,11 @@ func (l *Lib) resilience() *Resilience {
 func (l *Lib) call(cs *callState) error {
 	cmd := &cs.cmd
 	cmd.Seq = l.shardTag | l.seq.Add(1)
-	// A trace ID is assigned only when something will consume it (recorder
-	// or tracer enabled); otherwise the command keeps TraceID 0 and the wire
-	// frame is byte-identical to the untraced protocol. Batcher flushes
-	// arrive with an externally assigned ID, which is preserved.
-	if cmd.TraceID == 0 && (l.rec.Enabled() || l.tel.Tracer.Enabled()) {
+	// A trace ID is assigned only when the recorder will consume it;
+	// otherwise the command keeps TraceID 0 and the wire frame is
+	// byte-identical to the untraced protocol. Batcher flushes arrive with
+	// an externally assigned ID, which is preserved.
+	if cmd.TraceID == 0 && l.rec.Enabled() {
 		cmd.TraceID = l.rec.NextTraceID()
 	}
 	marshalWall := time.Now()
@@ -257,16 +255,6 @@ func (l *Lib) call(cs *callState) error {
 		cmd.TraceID, cmd.Seq, 0, uint64(cmd.API), uint64(len(frame)), 0)
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvMarshal,
 		cmd.TraceID, cmd.Seq, 0, uint64(marshalTook), uint64(len(frame)), 0)
-	if l.tel.Tracer.Enabled() {
-		// The span either starts here (a direct call) or joins the open one
-		// (a call issued inside a batcher flush span). Marshal is a
-		// zero-virtual-width stage: it costs wall time only.
-		sp, owner := l.tel.Tracer.StartSpan(cmd.API.String(), cmd.Seq, vstart, cmd.TraceID)
-		sp.AddStage("marshal", vstart, vstart, marshalTook)
-		if owner {
-			defer func() { l.tel.Tracer.FinishSpan(sp, l.tr.Clock().Now()) }()
-		}
-	}
 	res := l.resilience()
 	if res == nil {
 		err = l.exchangeOnce(cs)
@@ -308,17 +296,11 @@ func (l *Lib) exchangeOnce(cs *callState) error {
 		return fmt.Errorf("%w: response seq %d for command %d",
 			ErrTransport, cs.resp.Seq, cmd.Seq)
 	}
-	if sp := l.tel.Tracer.Open(cmd.TraceID); sp != nil {
-		vnow := l.tr.Clock().Now()
-		sp.AddStage("demux", vnow, vnow, time.Since(demuxWall))
-	}
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
 		cmd.TraceID, cmd.Seq, 0, uint64(time.Since(demuxWall)), 0, 0)
 	// Charge the channel's modeled cost for what actually crossed the
 	// boundary in both directions (Fig 6's size-dependent overhead).
-	chTimer := l.tel.Tracer.Open(cmd.TraceID).StageTimer("channel", l.tr.Clock().Now())
 	d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
-	chTimer.End(l.tr.Clock().Now())
 	l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
 		cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
 	l.mu.Lock()
@@ -433,15 +415,9 @@ func (l *Lib) attemptOnce(cs *callState) error {
 			l.tel.StaleResponses.Inc()
 			continue
 		}
-		if sp := l.tel.Tracer.Open(cmd.TraceID); sp != nil {
-			vnow := l.tr.Clock().Now()
-			sp.AddStage("demux", vnow, vnow, time.Since(demuxWall))
-		}
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvDemux,
 			cmd.TraceID, cmd.Seq, 0, uint64(time.Since(demuxWall)), 0, 0)
-		chTimer := l.tel.Tracer.Open(cmd.TraceID).StageTimer("channel", l.tr.Clock().Now())
 		d := l.tr.ChargeRoundTrip(len(cs.frame) + len(respFrame))
-		chTimer.End(l.tr.Clock().Now())
 		l.rec.Emit(flightrec.DomainKernel, flightrec.EvChannel,
 			cmd.TraceID, cmd.Seq, 0, uint64(d), uint64(len(cs.frame)+len(respFrame)), 0)
 		l.mu.Lock()

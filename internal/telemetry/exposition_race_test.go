@@ -7,15 +7,13 @@ import (
 	"time"
 )
 
-// TestConcurrentExposition exports the registry (Prometheus text, JSON,
-// span timeline) while counters, gauges, histograms, and spans are being
-// written full-tilt. The CI test job runs the suite under -race, so this is
-// the standing guard that the whole exposition path is data-race-free, not
-// just the individual instruments.
+// TestConcurrentExposition exports the registry (Prometheus text, JSON)
+// while counters, gauges and histograms are being written full-tilt. The CI
+// test job runs the suite under -race, so this is the standing guard that
+// the whole exposition path is data-race-free, not just the individual
+// instruments.
 func TestConcurrentExposition(t *testing.T) {
 	r := NewRegistry()
-	tr := r.Tracer()
-	tr.SetEnabled(true)
 
 	// Register up front so the first exposition already sees the families;
 	// the writer goroutines exercise concurrent get-or-create anyway.
@@ -41,22 +39,6 @@ func TestConcurrentExposition(t *testing.T) {
 			}
 		}(w)
 	}
-	// Span writers: each goroutine owns its own trace IDs, spans open,
-	// gain stages, finish, and churn through the done-ring concurrently —
-	// 3×300 finished spans guarantee evictions past maxDoneSpans.
-	for w := 1; w <= 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				tid := uint64(w)<<32 | uint64(i+1)
-				sp, _ := tr.StartSpan("expo", uint64(i), 0, tid)
-				sp.AddStage("dispatch", 0, 10, time.Microsecond)
-				sp.StageTimer("launch", 10).End(20)
-				tr.FinishSpan(sp, 20)
-			}
-		}(w)
-	}
 
 	// Readers: every exposition surface, repeatedly, under load.
 	for i := 0; i < 150; i++ {
@@ -66,19 +48,7 @@ func TestConcurrentExposition(t *testing.T) {
 		if _, err := r.JSON(); err != nil {
 			t.Fatalf("JSON exposition under load: %v", err)
 		}
-		if _, err := tr.TimelineJSON(); err != nil {
-			t.Fatalf("timeline exposition under load: %v", err)
-		}
-		_ = tr.DroppedSpans()
 		_ = r.Snapshot()
 	}
 	wg.Wait()
-
-	// The churn guaranteed evictions; the counter must have seen them.
-	if tr.DroppedSpans() == 0 {
-		t.Fatal("span churn past the done-ring bound must be counted")
-	}
-	if !strings.Contains(r.PrometheusText(), "lake_tracer_dropped_spans_total") {
-		t.Fatal("dropped-span counter missing from Prometheus exposition")
-	}
 }

@@ -1,8 +1,7 @@
-// Package telemetry is LAKE's end-to-end observability plane: low-overhead
-// metrics (atomic counters, gauges and fixed-bucket histograms) plus
-// span-style per-call tracing, shared by every layer of the runtime —
-// boundary transport, remoting, lakeD dispatch, the batcher, the GPU model
-// and the supervisor.
+// Package telemetry is LAKE's end-to-end metrics plane: low-overhead
+// atomic counters, gauges and fixed-bucket histograms shared by every layer
+// of the runtime — boundary transport, remoting, lakeD dispatch, the
+// batcher, the GPU model and the supervisor.
 //
 // The paper's core argument is quantitative: Fig 3's profitability
 // crossovers and §6's per-API breakdown both depend on knowing where time
@@ -14,14 +13,13 @@
 // JSON snapshot (core.Runtime.Telemetry, laked -telemetry-addr,
 // lakebench -metrics).
 //
-// Instruments are nil-safe: methods on a nil *Counter, *Gauge, *Histogram,
-// *Tracer or *Span are no-ops, so a runtime built with telemetry disabled
-// pays only an untaken nil-check branch per site.
+// Instruments are nil-safe: methods on a nil *Counter, *Gauge or
+// *Histogram are no-ops, so a runtime built with telemetry disabled pays
+// only an untaken nil-check branch per site.
 //
-// Clock semantics: latency observations and span timestamps are virtual
-// time (internal/vtime) — deterministic simulated nanoseconds. Stage wall
-// durations on spans are the only wall-clock quantity, recorded for
-// profiling the library itself.
+// Clock semantics: latency observations are virtual time (internal/vtime) —
+// deterministic simulated nanoseconds. Per-call stage timelines come from
+// the flight recorder (internal/flightrec), not from this package.
 package telemetry
 
 import (
@@ -97,39 +95,24 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry holds a process's named instruments and its tracer. Instruments
-// are get-or-create by full name (which may carry Prometheus-style labels,
-// e.g. `lake_boundary_sent_total{channel="Netlink"}`). A nil *Registry
-// hands out nil instruments, so callers wire telemetry unconditionally and
-// pay nothing when it is disabled.
+// Registry holds a process's named instruments. Instruments are
+// get-or-create by full name (which may carry Prometheus-style labels, e.g.
+// `lake_boundary_sent_total{channel="Netlink"}`). A nil *Registry hands out
+// nil instruments, so callers wire telemetry unconditionally and pay nothing
+// when it is disabled.
 type Registry struct {
 	mu      sync.Mutex
 	order   []string // registration order, for stable exposition
 	metrics map[string]interface{}
 	help    map[string]string
-	tracer  Tracer
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{
+	return &Registry{
 		metrics: make(map[string]interface{}),
 		help:    make(map[string]string),
 	}
-	// The tracer's done-ring eviction count is part of the exposition from
-	// the start: a silent span drop is exactly the failure mode the counter
-	// exists to surface.
-	r.tracer.droppedCounter = r.Counter("lake_tracer_dropped_spans_total",
-		"completed spans evicted from the tracer's bounded done-ring")
-	return r
-}
-
-// Tracer returns the registry's span tracer (nil for a nil registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return &r.tracer
 }
 
 // register get-or-creates the named instrument using mk; an existing entry

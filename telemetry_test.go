@@ -1,11 +1,11 @@
-// Acceptance tests for the observability plane: a traced remoted call must
-// produce a complete stage timeline, the batcher's coalescing must appear
-// as a span, and keeping telemetry enabled (its default) must stay within
-// the <5% wall-clock overhead bound on the batched-inference workload.
+// Acceptance tests for the observability plane: a remoted call must stitch
+// into a complete stage timeline from the flight recorder, the batcher's
+// coalescing must appear on its flush's timeline, and keeping telemetry
+// enabled (its default) must stay within the <5% wall-clock overhead bound
+// on the batched-inference workload.
 package lake_test
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -14,30 +14,27 @@ import (
 	"lakego/internal/batcher"
 	"lakego/internal/linnos"
 	"lakego/internal/nn"
+	"lakego/internal/remoting"
 )
 
-// timelineSpan mirrors the tracer's JSON export shape.
-type timelineSpan struct {
-	Name   string `json:"name"`
-	Seq    uint64 `json:"seq"`
-	VStart int64  `json:"v_start_ns"`
-	VEnd   int64  `json:"v_end_ns"`
-	Stages []struct {
-		Stage  string `json:"stage"`
-		VStart int64  `json:"v_start_ns"`
-		VEnd   int64  `json:"v_end_ns"`
-		Wall   int64  `json:"wall_ns"`
-	} `json:"stages"`
+// stitchedTimelines snapshots the runtime's flight recorder and stitches it
+// into per-call timelines.
+func stitchedTimelines(t *testing.T, rt *lake.Runtime) []lake.FlightTimeline {
+	t.Helper()
+	res := lake.StitchFlightDump(rt.FlightRecorder().Snapshot(t.Name()))
+	if len(res.Timelines) == 0 {
+		t.Fatal("no timelines stitched from the flight recorder")
+	}
+	return res.Timelines
 }
 
-// TestTracedInferenceTimeline follows one offloaded call end to end: with
-// tracing armed, a remoted cuLaunchKernel must export a JSON timeline whose
-// stages cover marshal, channel, daemon dispatch, device launch and
-// response demux, all timestamped on the virtual clock.
+// TestTracedInferenceTimeline follows one offloaded call end to end: the
+// stitched timeline of a remoted cuLaunchKernel must carry the whole
+// client→daemon→client chain, with the daemon's execution window inside
+// the call and both the boundary crossing and the device execution
+// occupying virtual time.
 func TestTracedInferenceTimeline(t *testing.T) {
-	cfg := lake.DefaultConfig()
-	cfg.TraceCalls = true
-	rt, err := lake.New(cfg)
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,55 +57,36 @@ func TestTracedInferenceTimeline(t *testing.T) {
 		t.Fatalf("launch: %s", r)
 	}
 
-	raw, err := rt.Telemetry().Tracer().TimelineJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []timelineSpan
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		t.Fatalf("timeline does not parse: %v\n%s", err, raw)
-	}
-	var launch *timelineSpan
-	for i := range spans {
-		if spans[i].Name == "cuLaunchKernel" {
-			launch = &spans[i]
+	var launch *lake.FlightTimeline
+	timelines := stitchedTimelines(t, rt)
+	for i := range timelines {
+		if timelines[i].API == uint64(remoting.APICuLaunchKernel) {
+			launch = &timelines[i]
 		}
 	}
 	if launch == nil {
-		t.Fatalf("no cuLaunchKernel span in timeline:\n%s", raw)
+		t.Fatalf("no cuLaunchKernel timeline among %d", len(timelines))
 	}
-	if launch.VEnd < launch.VStart {
-		t.Fatalf("span virtual bounds inverted: [%d, %d]", launch.VStart, launch.VEnd)
+	if !launch.Complete {
+		t.Fatalf("cuLaunchKernel timeline incomplete, missing %v", launch.Missing)
 	}
-	got := map[string]bool{}
-	for _, st := range launch.Stages {
-		got[st.Stage] = true
-		if st.VStart < launch.VStart || st.VEnd > launch.VEnd || st.VEnd < st.VStart {
-			t.Errorf("stage %s virtual window [%d, %d] escapes span [%d, %d]",
-				st.Stage, st.VStart, st.VEnd, launch.VStart, launch.VEnd)
-		}
-	}
-	for _, want := range []string{"marshal", "channel", "dispatch", "launch", "demux"} {
-		if !got[want] {
-			t.Errorf("timeline missing stage %q (have %v)", want, launch.Stages)
-		}
+	if launch.ExecStartV < launch.Start || launch.ExecEndV > launch.End || launch.ExecEndV < launch.ExecStartV {
+		t.Errorf("exec window [%v, %v] escapes call [%v, %v]",
+			launch.ExecStartV, launch.ExecEndV, launch.Start, launch.End)
 	}
 	// The modeled work — the channel round trip and the device launch —
-	// must occupy virtual time; the host-only stages need not.
-	for _, st := range launch.Stages {
-		if (st.Stage == "channel" || st.Stage == "launch") && st.VEnd == st.VStart {
-			t.Errorf("stage %s has zero virtual width", st.Stage)
-		}
+	// must occupy virtual time.
+	if launch.Boundary <= 0 || launch.Exec <= 0 {
+		t.Errorf("boundary %v and exec %v must both be > 0", launch.Boundary, launch.Exec)
 	}
 }
 
-// TestBatchedCoalesceTrace drives one flush through the batching subsystem
-// with tracing armed and asserts the flush span records the coalesce window
-// plus the nested remoted call's launch stage.
+// TestBatchedCoalesceTrace drives one deadline flush through the batching
+// subsystem and asserts the stitched timeline of the flush's remoted call
+// carries the coalesce window: the single member waited more than nothing
+// and no more than MaxWait before the batch formed.
 func TestBatchedCoalesceTrace(t *testing.T) {
-	cfg := lake.DefaultConfig()
-	cfg.TraceCalls = true
-	rt, err := lake.New(cfg)
+	rt, err := lake.New(lake.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,31 +110,18 @@ func TestBatchedCoalesceTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw, err := rt.Telemetry().Tracer().TimelineJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var spans []timelineSpan
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		t.Fatal(err)
-	}
-	var flush *timelineSpan
-	for i := range spans {
-		if len(spans[i].Name) >= 6 && spans[i].Name[:6] == "flush/" {
-			flush = &spans[i]
+	var flush *lake.FlightTimeline
+	timelines := stitchedTimelines(t, rt)
+	for i := range timelines {
+		if timelines[i].API == uint64(remoting.APIBatchedInfer) {
+			flush = &timelines[i]
 		}
 	}
 	if flush == nil {
-		t.Fatalf("no flush span in timeline:\n%s", raw)
+		t.Fatalf("no lakeBatchedInfer timeline among %d", len(timelines))
 	}
-	got := map[string]bool{}
-	for _, st := range flush.Stages {
-		got[st.Stage] = true
-	}
-	for _, want := range []string{"coalesce", "dispatch", "launch"} {
-		if !got[want] {
-			t.Errorf("flush span missing stage %q (have %v)", want, flush.Stages)
-		}
+	if flush.Coalesce <= 0 || flush.Coalesce > bcfg.MaxWait {
+		t.Fatalf("flush coalesce %v, want in (0, %v]", flush.Coalesce, bcfg.MaxWait)
 	}
 }
 
@@ -261,12 +226,6 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	}
 	if tel.Counter("x", "").Value() != 0 {
 		t.Fatal("nil registry counter should read 0")
-	}
-	if tel.Tracer() != nil {
-		t.Fatal("nil registry should hand out a nil tracer")
-	}
-	if s := tel.Tracer().Current(); s != nil {
-		t.Fatal("nil tracer Current() should be nil")
 	}
 }
 
